@@ -442,8 +442,24 @@ class Communicator {
   Time effective_cutoff_alpha() const { return adaptive_alpha_; }
 
   // --- crash tolerance -------------------------------------------------------
-  /// The lease-based failure detector; null when disabled in the config.
+  /// The ring-lease failure detector; null when disabled in the config.
   FailureDetector* detector() { return detector_.get(); }
+  /// `observer`'s membership view: the detector's latched confirmations
+  /// (every peer counts as alive with the detector disabled). Crash-tolerant
+  /// ops repair their rings from this view alone.
+  bool peer_dead(std::size_t observer, std::size_t peer) const {
+    return detector_ && detector_->dead(observer, peer);
+  }
+  /// First rank left (resp. right) of `from` that `observer` considers
+  /// alive; `observer` itself when no other survivor lies between.
+  std::size_t left_alive_of(std::size_t observer, std::size_t from) const {
+    return detector_ ? detector_->left_alive(observer, from)
+                     : (from + size() - 1) % size();
+  }
+  std::size_t right_alive_of(std::size_t observer, std::size_t from) const {
+    return detector_ ? detector_->right_alive(observer, from)
+                     : (from + 1) % size();
+  }
   /// The performance-fault health monitor; null unless config().adapt is
   /// enabled.
   HealthMonitor* health() { return health_.get(); }
@@ -468,8 +484,11 @@ class Communicator {
     return host_crashed_[rank] != 0;
   }
   /// Membership view for new ops: a rank is presumed dead once its host
-  /// crashed or any survivor's detector confirmed it. start_allgather on a
-  /// shrunk communicator sources blocks from the presumed-alive ranks only.
+  /// crashed or any survivor's detector confirmed it (crash-stop: a
+  /// recovered host stays expelled until a new communicator admits it).
+  /// start_allgather on a shrunk communicator sources blocks from the
+  /// presumed-alive ranks only, and multicast ops settle the presumed-dead
+  /// ranks up front.
   bool rank_presumed_dead(std::size_t rank) const {
     return rank_host_crashed(rank) ||
            (detector_ && detector_->confirmed_by_any(rank));

@@ -31,10 +31,12 @@ enum class CtrlType : std::uint8_t {
   kStep = 6,        // generic step token for P2P baselines (arg = step)
 
   // Crash tolerance. Heartbeats ride the same RC control mesh as everything
-  // else (piggybacked liveness: progress on the connection renews leases).
-  // They are addressed to the reserved op id 0, which no collective ever
-  // uses — the communicator's failure detector registers that handler.
-  kHeartbeat = 7,    // lease renewal (arg unused)
+  // else, addressed to the reserved op id 0, which no collective ever uses
+  // — the communicator's failure detector registers that handler. Each
+  // rank heartbeats only its right-alive ring neighbour, the one peer that
+  // leases it, so a communicator sends one heartbeat per alive rank per
+  // interval.
+  kHeartbeat = 7,    // renews the receiver's lease on the sender (arg unused)
   // Root-repair protocol, run when a block's root is confirmed dead. Every
   // survivor reports to the block's coordinator (first alive rank right of
   // the dead root) whether it holds the full block; the coordinator either
@@ -48,6 +50,10 @@ enum class CtrlType : std::uint8_t {
   // at the first full holder via the ordinary kReRoot broadcast (the root
   // stays alive — no census quorum and never a kBlockDead verdict).
   kSlowRoot = 11,    // arg = | block:15 | holds_full:1 |
+  // Relayed crash confirmation (op id 0): a rank that confirmed its leased
+  // neighbour dead tells every rank it still considers alive. Receivers
+  // latch the death unless they already hold the sender dead.
+  kPeerDead = 12,    // arg = confirmed-dead rank
 };
 
 struct CtrlMsg {

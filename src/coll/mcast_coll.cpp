@@ -80,7 +80,6 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
     s.fetch_waiters.assign(p_.roots.size(), {});
     s.fetch.assign(p_.roots.size(), BlockFetch{});
     s.finals_from.assign(P, 0);
-    s.peer_dead.assign(P, 0);
     s.block_root = p_.roots;
     s.block_abandoned.assign(p_.roots.size(), 0);
     s.block_reports.assign(p_.roots.size() * P, 0);
@@ -89,15 +88,8 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
     s.peer_lagging.assign(P, 0);
     s.slow_reported.assign(p_.roots.size(), 0);
     s.slow_decision.assign(p_.roots.size(), 0);
-    // Seed the membership view from this rank's detector: peers confirmed
-    // dead in earlier ops stay dead (crash-stop), so a new op never waits
-    // on them.
-    if (FailureDetector* det = comm.detector()) {
-      for (std::size_t p = 0; p < P; ++p)
-        if (p != r && det->dead(r, p)) s.peer_dead[p] = 1;
-    }
-    // Likewise the lagging view from the health monitor: a peer marked slow
-    // in an earlier op is avoided from the start of this one (it clears
+    // Seed the lagging view from the health monitor: a peer marked slow in
+    // an earlier op is avoided from the start of this one (it clears
     // through the monitor's hysteresis, not per op).
     if (HealthMonitor* hm = comm.health()) {
       for (std::size_t p = 0; p < P; ++p)
@@ -137,6 +129,11 @@ McastCollective::~McastCollective() {
 
 void McastCollective::start() {
   mark_started();
+  // Crash-stop membership: a rank confirmed dead before this op started is
+  // settled like a crashed one even if its host has since recovered — it
+  // rejoins only through a new communicator.
+  for (std::size_t r = 0; r < comm_.size(); ++r)
+    if (comm_.rank_presumed_dead(r)) note_rank_crashed(r);
   if (done()) return;  // every rank was already crashed
   arm_watchdog();
   for (std::size_t r = 0; r < comm_.size(); ++r) {
@@ -163,19 +160,6 @@ void McastCollective::start() {
   }
 }
 
-std::size_t McastCollective::left_alive_of(std::size_t r,
-                                           std::size_t from) const {
-  std::size_t x = left_of(from);
-  while (x != r && st_[r].peer_dead[x]) x = left_of(x);
-  return x;  // r itself when no other survivor exists
-}
-
-std::size_t McastCollective::right_alive_of(std::size_t r) const {
-  std::size_t x = right_of(r);
-  while (x != r && st_[r].peer_dead[x]) x = right_of(x);
-  return x;
-}
-
 // --------------------------------------------------------------------------
 // Barrier (dissemination): round k sends to (r + 2^k) mod P and waits for a
 // token from (r - 2^k) mod P. Completes in ceil(log2 P) rounds for any P.
@@ -195,7 +179,7 @@ void McastCollective::barrier_send_round(std::size_t r) {
   const std::size_t P = comm_.size();
   const std::size_t dist = std::size_t{1} << s.barrier_round;
   const std::size_t dst = (r + dist) % P;
-  if (!s.peer_dead[dst])
+  if (!comm_.peer_dead(r, dst))
     comm_.ep(r).ctrl_send(dst, {CtrlType::kBarrier, id(),
                                 static_cast<std::uint16_t>(s.barrier_round)});
   barrier_advance(r);
@@ -208,7 +192,7 @@ void McastCollective::credit_barrier(std::size_t r) {
     if (s.barrier_credited[k]) continue;
     const std::size_t dist = std::size_t{1} << k;
     const std::size_t sender = (r + P - dist) % P;
-    if (!s.peer_dead[sender]) continue;
+    if (!comm_.peer_dead(r, sender)) continue;
     // The round-k token sender is dead: grant the token it can no longer
     // send. Credited at most once per round; a token that did get out
     // before the crash leaves a harmless surplus in barrier_seen.
@@ -245,7 +229,7 @@ void McastCollective::on_barrier_done(std::size_t r) {
     const auto my = static_cast<std::size_t>(s.root_index);
     // Chain heads start immediately; a root whose chain predecessor died
     // will never see its activation token and self-activates.
-    if (schedule_.is_chain_head(my) || s.peer_dead[p_.roots[my - 1]])
+    if (schedule_.is_chain_head(my) || comm_.peer_dead(r, p_.roots[my - 1]))
       activate_send(r);
   }
   // Degenerate case: nothing to receive (single-root broadcast at the root).
@@ -331,7 +315,7 @@ void McastCollective::on_subgroup_sent(std::size_t r, std::size_t sg) {
   int next = schedule_.successor(static_cast<std::size_t>(s.root_index));
   while (next >= 0) {
     const std::size_t root = p_.roots[static_cast<std::size_t>(next)];
-    if (s.peer_dead[root]) {
+    if (comm_.peer_dead(r, root)) {
       next = schedule_.successor(static_cast<std::size_t>(next));
       continue;
     }
@@ -438,7 +422,7 @@ void McastCollective::send_final(std::size_t r) {
   // Final handshake: tell the left-alive neighbor we are complete (the
   // static left neighbor pre-repair). A sole survivor has nobody to tell.
   RankState& s = st_[r];
-  const std::size_t dst = left_alive_of(r, r);
+  const std::size_t dst = comm_.left_alive_of(r, r);
   s.final_sent = true;
   if (dst == r) return;
   s.final_sent_to = dst;
@@ -498,7 +482,7 @@ void McastCollective::on_cutoff(std::size_t r, std::uint64_t gen) {
     for (std::size_t b = 0; b < p_.roots.size(); ++b) {
       if (static_cast<int>(b) == s.root_index) continue;
       if (s.block_received[b] * 2 < best && !s.block_abandoned[b] &&
-          !s.peer_dead[s.block_root[b]] && s.block_root[b] != r)
+          !comm_.peer_dead(r, s.block_root[b]) && s.block_root[b] != r)
         hm->note_block_late(r, s.block_root[b]);
     }
   }
@@ -533,7 +517,7 @@ void McastCollective::on_block_complete(std::size_t r, std::size_t block) {
   if (comm_.health() != nullptr && static_cast<int>(block) != s.root_index &&
       !s.slow_reported[block] && !s.block_abandoned[block] &&
       s.block_root[block] != r && s.peer_lagging[s.block_root[block]] &&
-      !s.peer_dead[s.block_root[block]])
+      !comm_.peer_dead(r, s.block_root[block]))
     report_slow_root(r, block);
   // Serve every rank whose fetch request was deferred until we held the
   // block (pre-hardening this could only be the right neighbor).
@@ -624,9 +608,8 @@ void McastCollective::on_fetch_retry(std::size_t r, std::size_t block,
   // still terminates at the block root (which completes its block through
   // the local copy); if even the root is unreachable the watchdog ends the
   // op.
-  std::size_t next = left_of(f.target);
-  while ((next == r || s.peer_dead[next]) && next != f.target)
-    next = left_of(next);  // never fetch from ourselves or a dead rank
+  std::size_t next = comm_.left_alive_of(r, f.target);
+  if (next == r) next = comm_.left_alive_of(r, r);  // walk on past ourselves
   if (next == f.target || next == r) return;  // nowhere else to go
   if (s.peer_lagging[next]) {
     // Adaptive detour: keep walking for a non-lagging survivor no farther
@@ -638,7 +621,7 @@ void McastCollective::on_fetch_retry(std::size_t r, std::size_t block,
     const int base_dist = topo.distance(here, comm_.ep(next).host());
     std::size_t alt = left_of(next);
     while (alt != f.target &&
-           (alt == r || s.peer_dead[alt] || s.peer_lagging[alt] ||
+           (alt == r || comm_.peer_dead(r, alt) || s.peer_lagging[alt] ||
             topo.distance(here, comm_.ep(alt).host()) > base_dist))
       alt = left_of(alt);
     if (alt != f.target && alt != r && !s.peer_lagging[alt] &&
@@ -752,8 +735,9 @@ void McastCollective::on_peer_confirmed_dead(std::size_t observer,
                                              std::size_t peer) {
   const std::size_t r = observer;
   RankState& s = st_[r];
-  if (failed_ || rank_crashed(r) || s.peer_dead[peer]) return;
-  s.peer_dead[peer] = 1;
+  // The detector latches `peer` in r's view before calling this, exactly
+  // once per (observer, peer).
+  if (failed_ || rank_crashed(r)) return;
   note_repair(r);
   // (1) Barrier: credit rounds whose token sender just died.
   if (!s.barrier_done) {
@@ -765,7 +749,7 @@ void McastCollective::on_peer_confirmed_dead(std::size_t observer,
   // is redundant — and activate_send is idempotent).
   if (is_root(r) && !s.send_active && s.barrier_done) {
     const auto my = static_cast<std::size_t>(s.root_index);
-    if (!schedule_.is_chain_head(my) && s.peer_dead[p_.roots[my - 1]])
+    if (!schedule_.is_chain_head(my) && comm_.peer_dead(r, p_.roots[my - 1]))
       activate_send(r);
   }
   // (3) Fetches aimed at the dead rank fail over immediately.
@@ -775,14 +759,14 @@ void McastCollective::on_peer_confirmed_dead(std::size_t observer,
   // (coordinator_of shifts right, and the new coordinator needs our
   // report).
   for (std::size_t b = 0; b < p_.roots.size(); ++b) {
-    if (s.peer_dead[s.block_root[b]] && !s.block_abandoned[b] &&
+    if (comm_.peer_dead(r, s.block_root[b]) && !s.block_abandoned[b] &&
         s.block_decision[b] == 0)
       send_block_report(r, b);
   }
   // (5) Handshake ring re-closure: if our Final went to a rank that died,
   // resend it to the new left-alive neighbor.
   if (s.data_complete && s.final_sent) {
-    const std::size_t dst = left_alive_of(r, r);
+    const std::size_t dst = comm_.left_alive_of(r, r);
     if (dst != r && dst != s.final_sent_to) {
       s.final_sent_to = dst;
       comm_.ep(r).ctrl_send(dst, {CtrlType::kFinal, id(), 0});
@@ -857,11 +841,7 @@ std::size_t McastCollective::coordinator_of(std::size_t r,
   // First rank right of the dead root that this rank considers alive; may
   // be r itself. Views can transiently disagree across ranks — the
   // re-report rule in on_peer_confirmed_dead reconciles them.
-  const RankState& s = st_[r];
-  const std::size_t d = s.block_root[block];
-  std::size_t x = right_of(d);
-  while (x != d && s.peer_dead[x]) x = right_of(x);
-  return x;
+  return comm_.right_alive_of(r, st_[r].block_root[block]);
 }
 
 void McastCollective::send_block_report(std::size_t r, std::size_t block) {
@@ -906,12 +886,12 @@ void McastCollective::on_block_report(std::size_t r, std::size_t block,
 void McastCollective::maybe_decide_block(std::size_t r, std::size_t block) {
   RankState& s = st_[r];
   if (s.block_decision[block] != 0) return;
-  if (!s.peer_dead[s.block_root[block]]) return;  // root (still) alive
-  if (coordinator_of(r, block) != r) return;      // not our call
+  if (!comm_.peer_dead(r, s.block_root[block])) return;  // root alive
+  if (coordinator_of(r, block) != r) return;  // not our call
   const std::size_t P = comm_.size();
   const std::uint8_t* reports = &s.block_reports[block * P];
   for (std::size_t x = 0; x < P; ++x) {
-    if (s.peer_dead[x] || x == r) continue;
+    if (comm_.peer_dead(r, x) || x == r) continue;
     if (reports[x] == 0) return;  // census incomplete
   }
   // Our own report may arrive via send_block_report(c == r) or not at all
@@ -921,7 +901,7 @@ void McastCollective::maybe_decide_block(std::size_t r, std::size_t block) {
       s.block_received[block] == map_.chunks_per_block() ? 2 : 1;
   std::size_t holder = P;
   for (std::size_t x = 0; x < P; ++x) {
-    if (s.peer_dead[x]) continue;
+    if (comm_.peer_dead(r, x)) continue;
     if (reports[x] == 2) {
       holder = x;
       break;  // lowest-rank surviving full holder
@@ -955,7 +935,7 @@ void McastCollective::maybe_decide_block(std::size_t r, std::size_t block) {
                         "coll");
   }
   for (std::size_t x = 0; x < P; ++x) {
-    if (x == r || s.peer_dead[x]) continue;
+    if (x == r || comm_.peer_dead(r, x)) continue;
     send_decision_to(r, block, x);
   }
   if (s.block_decision[block] == 1)
@@ -1048,28 +1028,21 @@ std::size_t McastCollective::fetch_target_of(std::size_t r, std::size_t from,
   const RankState& s = st_[r];
   const fabric::Topology& topo = comm_.cluster().fabric().topology();
   const fabric::NodeId here = comm_.ep(r).host();
-  std::size_t first_alive = r;
-  int base_dist = 0;
-  std::size_t x = left_of(from);
-  while (x != r) {
-    if (!s.peer_dead[x]) {
-      if (first_alive == r) {
-        first_alive = x;
-        base_dist = topo.distance(here, comm_.ep(x).host());
-      }
-      // A detour must never trade a slow peer for a longer path: a
-      // cross-leaf hop rides trunks the health plane may not have scored
-      // yet, and a degraded trunk costs far more than any laggard.
-      if (!s.peer_lagging[x] &&
-          topo.distance(here, comm_.ep(x).host()) <= base_dist) {
-        if (detoured != nullptr) *detoured = x != first_alive;
-        return x;
-      }
-    }
-    x = left_of(x);
-  }
+  const std::size_t first_alive = comm_.left_alive_of(r, from);
   if (detoured != nullptr) *detoured = false;
-  return first_alive;  // r itself when no other survivor exists
+  if (first_alive == r) return r;  // no other survivor
+  const int base_dist = topo.distance(here, comm_.ep(first_alive).host());
+  for (std::size_t x = first_alive; x != r; x = comm_.left_alive_of(r, x)) {
+    // A detour must never trade a slow peer for a longer path: a
+    // cross-leaf hop rides trunks the health plane may not have scored
+    // yet, and a degraded trunk costs far more than any laggard.
+    if (!s.peer_lagging[x] &&
+        topo.distance(here, comm_.ep(x).host()) <= base_dist) {
+      if (detoured != nullptr) *detoured = x != first_alive;
+      return x;
+    }
+  }
+  return first_alive;
 }
 
 void McastCollective::on_peer_slow(std::size_t observer, std::size_t peer,
@@ -1082,7 +1055,7 @@ void McastCollective::on_peer_slow(std::size_t observer, std::size_t peer,
   // A clear only stops future avoidance: detours and re-roots already made
   // stay (they are correct either way, and undoing them would oscillate).
   if (!slow) return;
-  if (s.peer_dead[peer]) return;  // crash repair owns dead peers
+  if (comm_.peer_dead(r, peer)) return;  // crash repair owns dead peers
   // (1) Slow-root re-ownership: for each block the lagging peer currently
   // roots, report to the block's coordinator if we already hold it in full
   // (ranks completing later report from on_block_complete).
@@ -1139,7 +1112,8 @@ void McastCollective::on_slow_root_report(std::size_t r, std::size_t block,
   if (s.slow_decision[block] != 0 || s.block_decision[block] != 0 ||
       s.block_abandoned[block])
     return;  // already decided (or the dead census owns this block)
-  if (s.peer_dead[s.block_root[block]] || s.peer_dead[src]) return;
+  if (comm_.peer_dead(r, s.block_root[block]) || comm_.peer_dead(r, src))
+    return;
   if (src == s.block_root[block]) return;
   // Ownership conservation: a slow re-root hands the block's slow-path
   // responsibility to a rank that really holds all of it. Remote claims are
@@ -1165,7 +1139,7 @@ void McastCollective::on_slow_root_report(std::size_t r, std::size_t block,
   // census agrees on who owns the block.
   MCCL_CHECK(block < 256 && src < 256);
   for (std::size_t x = 0; x < comm_.size(); ++x) {
-    if (x == r || s.peer_dead[x]) continue;
+    if (x == r || comm_.peer_dead(r, x)) continue;
     comm_.ep(r).ctrl_send(
         x, {CtrlType::kReRoot, id(),
             static_cast<std::uint16_t>((block << 8) | src)});
@@ -1256,7 +1230,7 @@ void McastCollective::on_ctrl(std::size_t r, const CtrlMsg& msg,
       // Any rank may ask (failover walks past the immediate neighbor);
       // retries make duplicates normal. A request from a rank we have
       // confirmed dead is a posthumous straggler — ignore it.
-      if (s.peer_dead[src]) break;
+      if (comm_.peer_dead(r, src)) break;
       const std::size_t block = msg.arg;
       if (s.block_received[block] == map_.chunks_per_block()) {
         comm_.ep(r).ctrl_send(src, {CtrlType::kFetchAck, id(), msg.arg});
@@ -1281,7 +1255,7 @@ void McastCollective::on_ctrl(std::size_t r, const CtrlMsg& msg,
       // (crash census); a slow re-root's old root is alive and keeps
       // multicasting, so the receiver stays lazy.
       apply_reroot(r, msg.arg >> 8, msg.arg & 0xffu,
-                   st_[r].peer_dead[st_[r].block_root[msg.arg >> 8]] != 0);
+                   comm_.peer_dead(r, st_[r].block_root[msg.arg >> 8]));
       break;
     case CtrlType::kBlockDead:
       apply_block_dead(r, msg.arg);
@@ -1296,7 +1270,7 @@ void McastCollective::check_op_done(std::size_t r) {
   if (failed_ || rank_crashed(r) || s.op_done || !s.data_complete) return;
   // Wait for the Final of whoever currently counts us as *their* left-alive
   // neighbor: our right-alive neighbor. A sole survivor waits on nobody.
-  const std::size_t ra = right_alive_of(r);
+  const std::size_t ra = comm_.right_alive_of(r, r);
   if (ra != r && !s.finals_from[ra]) return;
   if (is_root(r) && !s.send_done) return;
   s.op_done = true;
@@ -1370,8 +1344,9 @@ void McastCollective::debug_dump() const {
   for (std::size_t r = 0; r < comm_.size(); ++r) {
     const RankState& s = st_[r];
     std::size_t dead_peers = 0;
-    for (const char d : s.peer_dead) dead_peers += d != 0;
-    const std::size_t ra = right_alive_of(r);
+    for (std::size_t p = 0; p < comm_.size(); ++p)
+      dead_peers += comm_.peer_dead(r, p) ? 1 : 0;
+    const std::size_t ra = comm_.right_alive_of(r, r);
     std::fprintf(stderr,
                  "rank %zu: barrier(round=%zu done=%d) recv=%zu/%zu "
                  "copies=%zu local=%d data=%d send(active=%d done=%d "

@@ -29,9 +29,11 @@
 // structured OpResult error when no recovery path exists (e.g. a partitioned
 // fabric), instead of hanging the simulation.
 //
-// Crash tolerance (this layer's second hardening pass): each rank keeps its
-// own membership view, seeded from the communicator's failure detector and
-// extended by confirmations mid-op. On confirming a peer dead, a rank
+// Crash tolerance (this layer's second hardening pass): each rank acts on
+// its own membership view — the communicator's failure detector, which
+// latches confirmations (direct or relayed) per rank. Ranks presumed dead
+// when the op starts are settled up front. On confirming a peer dead, a
+// rank
 //  - credits the barrier rounds whose token sender died,
 //  - self-activates its multicast if the chain predecessor died (and chain
 //    tokens route around dead successors),
@@ -192,9 +194,9 @@ class McastCollective : public OpBase {
     std::size_t final_sent_to = static_cast<std::size_t>(-1);
     bool op_done = false;
 
-    // Crash repair: this rank's membership view (detector-seeded at op
-    // start, extended by confirmations mid-op — never by physical truth).
-    std::vector<char> peer_dead;
+    // Crash repair. The membership view is the communicator's
+    // (Communicator::peer_dead: detector confirmations, never physical
+    // truth); the op keeps only what it did about each death.
     std::vector<char> barrier_credited;  // per round: dead-sender credit
     std::vector<std::size_t> block_root;  // current root per block (re-root)
     std::vector<char> block_abandoned;    // kBlockDead received
@@ -209,7 +211,7 @@ class McastCollective : public OpBase {
     Time t_repair_begin = 0;
 
     // Performance-fault adaptation: this rank's lagging view (health-plane
-    // slow marks; independent of peer_dead — a rank is never both).
+    // slow marks; independent of the dead view — a rank is never both).
     std::vector<char> peer_lagging;
     std::vector<char> slow_reported;  // per block: kSlowRoot report sent
     std::vector<char> slow_decision;  // per block: coordinator latch
@@ -223,15 +225,6 @@ class McastCollective : public OpBase {
   std::size_t left_of(std::size_t r) const {
     return (r + comm_.size() - 1) % comm_.size();
   }
-  std::size_t right_of(std::size_t r) const {
-    return (r + 1) % comm_.size();
-  }
-  /// First rank left of `from` that `r` considers alive (skipping `r`'s
-  /// dead set and never returning a rank other than `r` twice around);
-  /// returns `r` itself when no other survivor exists.
-  std::size_t left_alive_of(std::size_t r, std::size_t from) const;
-  /// First rank right of `r` that `r` considers alive; `r` if sole survivor.
-  std::size_t right_alive_of(std::size_t r) const;
 
   // Barrier.
   void barrier_kick(std::size_t r);
@@ -286,9 +279,10 @@ class McastCollective : public OpBase {
 
   // Performance-fault adaptation (all inert when the communicator has no
   // health monitor: peer_lagging never sets).
-  /// Drop-in for left_alive_of that prefers the first *non-lagging*
-  /// survivor left of `from`, falling back to the first survivor when
-  /// everyone lags; `detoured` reports whether a lagging rank was skipped.
+  /// Drop-in for Communicator::left_alive_of that prefers the first
+  /// *non-lagging* survivor left of `from`, falling back to the first
+  /// survivor when everyone lags; `detoured` reports whether a lagging rank
+  /// was skipped.
   std::size_t fetch_target_of(std::size_t r, std::size_t from,
                               bool* detoured) const;
   void report_slow_root(std::size_t r, std::size_t block);

@@ -324,5 +324,76 @@ TEST(Reliability, DetectorConfirmationsAreExactAndPosthumousIgnored) {
   EXPECT_EQ(det->confirmed_dead(), 3u);
 }
 
+TEST(Reliability, RecoveredHostStaysExpelledFromItsCommunicator) {
+  // Crash-stop membership: host 2 crashes, every survivor confirms it, and
+  // then the host comes back while the communicator keeps running ops.
+  // Nobody heartbeats the recovered rank any more, so were its detector to
+  // run it would confirm every peer dead and shrink the membership to
+  // nothing. It must stay expelled instead: it neither ticks nor counts as
+  // a confirmer, and it rejoins only through a new communicator.
+  ClusterConfig kcfg;
+  kcfg.fabric.faults.events = {
+      fabric::FaultEvent::node_crash(30 * kMicrosecond, 2),
+      fabric::FaultEvent::node_recover(750 * kMicrosecond, 2)};
+  World w(8, quick_recovery(), kcfg);
+  for (int op = 0; op < 4; ++op) {
+    if (op > 0) {
+      ASSERT_EQ(w.comm->presumed_alive(), 7u) << "before op " << op;
+    }
+    const OpResult res =
+        w.comm->allgather(256 * 1024, AllgatherAlgo::kMcast);
+    EXPECT_FALSE(res.failed) << "op " << op;
+    EXPECT_TRUE(res.data_verified) << "op " << op;
+    // After op 0 (which waits out the confirmation) the survivors run
+    // clean ~110 us ops; the recovered rank must not hold them up.
+    EXPECT_LT(res.duration(),
+              (op == 0 ? 1000 : 300) * kMicrosecond) << "op " << op;
+  }
+  ASSERT_EQ(w.comm->presumed_alive(), 7u);
+  // Exactly the 7 survivors' confirmations of rank 2.
+  EXPECT_EQ(w.comm->detector()->confirmed_dead(), 7u);
+}
+
+TEST(Reliability, RingDetectorHeartbeatsAndConfirmationsScaleWithP) {
+  // Each rank leases one ring neighbour, so heartbeats grow O(P) per
+  // interval, and a confirmation reaches every survivor through one relay.
+  for (const std::size_t P : {std::size_t{8}, std::size_t{32}}) {
+    {
+      World w(P, {}, {}, /*fat_tree=*/true);
+      const OpResult res =
+          w.comm->broadcast(0, 4 * 1024 * 1024, BcastAlgo::kMcast);
+      ASSERT_TRUE(res.data_verified) << "P=" << P;
+      const FailureDetector* det = w.comm->detector();
+      const Time interval = det->config().heartbeat_interval;
+      const auto intervals =
+          static_cast<std::uint64_t>((res.duration() + interval - 1) /
+                                     interval);
+      ASSERT_GT(intervals, 2u) << "P=" << P;  // the detector did tick
+      EXPECT_GT(det->heartbeats_sent(), 0u) << "P=" << P;
+      EXPECT_LE(det->heartbeats_sent(), P * (intervals + 1)) << "P=" << P;
+    }
+    {
+      const std::size_t victim = P / 2 + 1;
+      ClusterConfig kcfg;
+      kcfg.fabric.faults.events = {fabric::FaultEvent::node_crash(
+          30 * kMicrosecond, static_cast<fabric::NodeId>(victim))};
+      World w(P, quick_recovery(), kcfg, /*fat_tree=*/true);
+      const OpResult res =
+          w.comm->allgather(64 * 1024, AllgatherAlgo::kMcast);
+      EXPECT_FALSE(res.failed) << "P=" << P;
+      EXPECT_TRUE(res.data_verified) << "P=" << P;
+      const FailureDetector* det = w.comm->detector();
+      for (std::size_t obs = 0; obs < P; ++obs) {
+        if (obs == victim) continue;
+        for (std::size_t peer = 0; peer < P; ++peer)
+          EXPECT_EQ(det->dead(obs, peer), peer == victim)
+              << "P=" << P << " observer " << obs << " peer " << peer;
+        EXPECT_TRUE(det->validate_view(obs)) << "P=" << P << " obs " << obs;
+      }
+      EXPECT_EQ(det->confirmed_dead(), P - 1) << "P=" << P;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mccl::coll

@@ -452,6 +452,9 @@ TEST(Faults, CorruptionWindowCloseRestoresCleanRuns) {
   FtWorld w(quick_recovery(), kcfg);
   const OpResult dirty = w.comm->broadcast(0, 256 * 1024, BcastAlgo::kMcast);
   EXPECT_TRUE(dirty.data_verified);
+  // The dirty op can finish inside the window: start the clean one after
+  // the window has closed.
+  w.cluster->engine().run_until(200 * kMicrosecond);
   const OpResult clean = w.comm->broadcast(0, 256 * 1024, BcastAlgo::kMcast);
   EXPECT_TRUE(clean.data_verified);
   EXPECT_EQ(clean.fetched_chunks, 0u);

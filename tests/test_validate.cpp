@@ -255,6 +255,21 @@ TEST(Validate, DetectorPrematureConfirmDetected) {
   EXPECT_TRUE(trap.tripped("detector.lease_state"));
 }
 
+TEST(Validate, DetectorUnbackedRelayDetected) {
+  SKIP_UNLESS_VALIDATE();
+  // A relayed death must trace back to the sender's own threshold
+  // confirmation; a relay from a rank that never confirmed the peer is a
+  // protocol bug the lease-state audit catches.
+  World w(5);
+  coll::FailureDetector* det = w.comm->detector();
+  ASSERT_NE(det, nullptr);
+  debug::ViolationTrap trap;
+  det->on_peer_dead(/*observer=*/0, /*src=*/2, /*peer=*/3);
+  EXPECT_TRUE(det->dead(0, 3));
+  EXPECT_FALSE(det->validate_view(0));
+  EXPECT_TRUE(trap.tripped("detector.lease_state"));
+}
+
 TEST(Validate, AdaptOscillationDetected) {
   SKIP_UNLESS_VALIDATE();
   // The health monitor's hysteresis band is supposed to make slow-state
