@@ -24,6 +24,11 @@ OpBase::OpBase(Communicator& comm, std::string name)
 
 OpBase::~OpBase() = default;
 
+void OpBase::on_ctrl(std::size_t, const CtrlMsg&, std::size_t,
+                     const rdma::Cqe&) {
+  MCCL_CHECK_MSG(false, "control message for unknown collective");
+}
+
 bool OpBase::done() const { return completed_ == comm_.size(); }
 
 Time OpBase::finish_time() const {
@@ -111,6 +116,7 @@ Communicator::Communicator(Cluster& cluster,
   MCCL_CHECK(hosts.size() >= 2);
   MCCL_CHECK(config_.subgroups >= 1 && config_.chains >= 1);
   MCCL_CHECK(config_.send_workers >= 1 && config_.recv_workers >= 1);
+  MCCL_CHECK(config_.fetch_retry_timeout > 0);
   for (std::size_t r = 0; r < hosts.size(); ++r) {
     rank_of_[hosts[r]] = r;
     eps_.push_back(std::make_unique<Endpoint>(*this, r, hosts[r]));
@@ -138,22 +144,6 @@ Communicator::Communicator(Cluster& cluster,
     health_ = std::make_unique<HealthMonitor>(*this, config_.adapt);
   if (config_.detector.enabled) {
     detector_ = std::make_unique<FailureDetector>(*this, config_.detector);
-    // Heartbeats and relayed confirmations travel on the reserved op id 0
-    // (Cluster::next_op_id starts at 1, so no collective ever claims it).
-    // The health monitor piggybacks on the heartbeat event: gap samples
-    // cost nothing extra.
-    for (auto& ep : eps_) {
-      const std::size_t r = ep->rank();
-      ep->register_ctrl(0, [this, r](const CtrlMsg& m, std::size_t src,
-                                     const rdma::Cqe&) {
-        if (m.type == CtrlType::kHeartbeat) {
-          detector_->on_heartbeat(r, src);
-          if (health_) health_->on_heartbeat(r, src);
-        } else if (m.type == CtrlType::kPeerDead) {
-          detector_->on_peer_dead(r, src, m.arg);
-        }
-      });
-    }
     detector_->add_listener([this](std::size_t observer, std::size_t peer) {
       for (auto& op : ops_)
         if (!op->done()) op->on_peer_confirmed_dead(observer, peer);
@@ -171,6 +161,33 @@ Communicator::Communicator(Cluster& cluster,
 Communicator::~Communicator() {
   cluster_.remove_crash_listener(crash_listener_id_);
 }
+
+// Heartbeats and relayed confirmations travel on the reserved op id 0
+// (Cluster::next_op_id starts at 1, so no collective ever claims it). The
+// health monitor piggybacks on the heartbeat event: gap samples cost nothing
+// extra.
+void Communicator::on_membership_ctrl(std::size_t r, const CtrlMsg& msg,
+                                      std::size_t src) {
+  MCCL_CHECK_MSG(detector_ != nullptr,
+                 "control message for unknown collective");
+  if (msg.type == CtrlType::kHeartbeat) {
+    detector_->on_heartbeat(r, src);
+    if (health_) health_->on_heartbeat(r, src);
+  } else if (msg.type == CtrlType::kPeerDead) {
+    detector_->on_peer_dead(r, src, msg.arg);
+  }
+}
+
+// mccl-lint: begin-hot coll-dispatch
+OpBase* Communicator::find_op(std::uint16_t id) const {
+  const auto it = std::lower_bound(
+      ops_.begin(), ops_.end(), id,
+      [](const std::unique_ptr<OpBase>& op, std::uint16_t v) {
+        return op->id() < v;
+      });
+  return it != ops_.end() && (*it)->id() == id ? it->get() : nullptr;
+}
+// mccl-lint: end-hot
 
 void Communicator::on_host_crash(fabric::NodeId host, bool crashed) {
   auto it = rank_of_.find(host);
@@ -381,7 +398,6 @@ OpResult Communicator::finish(OpBase& op) {
 }
 
 void Communicator::note_op_loss(bool lossy) {
-  if (!config_.adaptive_cutoff) return;
   if (lossy) {
     adaptive_alpha_ = std::max(config_.cutoff_alpha_min, adaptive_alpha_ / 2);
   } else if (adaptive_alpha_ < config_.cutoff_alpha) {

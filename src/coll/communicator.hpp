@@ -14,6 +14,7 @@
 //    of the P2P baselines and the reliability fetch layer.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -61,25 +62,17 @@ struct CommConfig {
   bool reliability = true;                 // enable the slow-path fetch ring
 
   // --- slow-path hardening (fault tolerance beyond the paper) --------------
-  /// A fetch request that is not ACKed within this window is retried with
-  /// exponential backoff (x2 per attempt).
+  /// A fetch request that is not ACKed within this window (> 0) is retried
+  /// with exponential backoff (x2 per attempt); after kFetchRetryCap
+  /// requests to one target the rank fails over to that target's left
+  /// neighbor (mcast_coll.cpp).
   Time fetch_retry_timeout = 150 * kMicrosecond;
-  /// Requests sent to one target before failing over to its left neighbor
-  /// (skipping the unresponsive rank; the chain still ends at the block
-  /// root, which always holds its own block).
-  std::size_t fetch_retry_cap = 3;
-  /// Tighten the effective cutoff alpha after an op that observed loss
+  /// The effective cutoff alpha tightens after an op that observed loss
   /// (halved per lossy op down to `cutoff_alpha_min`, relaxed back toward
   /// `cutoff_alpha` after clean ops) — recovery starts sooner on a fabric
-  /// known to be misbehaving.
-  bool adaptive_cutoff = true;
+  /// known to be misbehaving. Each multicast op also arms a hard watchdog
+  /// at kWatchdogMultiplier times its worst cutoff deadline (mcast_coll.cpp).
   Time cutoff_alpha_min = 25 * kMicrosecond;
-  /// Hard per-op deadline: `watchdog_multiplier` times the cutoff deadline
-  /// (or `watchdog_timeout` if nonzero). On expiry the op dumps per-rank
-  /// protocol state and fails with a structured error instead of hanging
-  /// the simulation (e.g. a partitioned fabric with no surviving path).
-  double watchdog_multiplier = 50.0;
-  Time watchdog_timeout = 0;  // explicit override; 0 = multiplier-based
 
   // --- crash tolerance -------------------------------------------------------
   /// Lease-based failure detector (heartbeats on the RC control mesh while
@@ -196,16 +189,6 @@ enum class ReduceScatterAlgo : std::uint8_t { kRing, kInc };
 
 class Endpoint {
  public:
-  /// Handler for control-plane messages addressed to one collective op.
-  using CtrlHandler =
-      std::function<void(const CtrlMsg&, std::size_t src_rank,
-                         const rdma::Cqe&)>;
-  /// Handler for fast-path chunk arrivals (runs on a receive worker, after
-  /// the per-CQE datapath cost has been charged).
-  using ChunkHandler =
-      std::function<void(std::uint32_t chunk, std::size_t subgroup,
-                         const rdma::Cqe&)>;
-
   Endpoint(Communicator& comm, std::size_t rank, fabric::NodeId host);
 
   std::size_t rank() const { return rank_; }
@@ -232,20 +215,14 @@ class Endpoint {
   // --- control plane -------------------------------------------------------
   /// Posts a control message to `peer` (charged on the app worker).
   void ctrl_send(std::size_t peer, const CtrlMsg& msg);
-  void register_ctrl(std::uint16_t op, CtrlHandler handler);
-  void unregister_ctrl(std::uint16_t op);
 
   // --- P2P data plane (baselines + fetch layer) -----------------------------
   rdma::RcQp& data_qp(std::size_t peer);
   /// Completions of data-plane messages are dispatched like control
-  /// messages: the immediate encodes a CtrlMsg naming the op.
+  /// messages: the immediate encodes a CtrlMsg naming the op. Signaled
+  /// sends and RDMA Reads name their op in the upper 32 bits of wr_id.
   rdma::Cq& data_recv_cq() { return *data_rcq_; }
   rdma::Cq& data_send_cq() { return *data_scq_; }
-  /// Registers the handler for this op's RDMA Read completions (fetch layer)
-  /// and data sends (wr_id-keyed).
-  void register_read_handler(std::uint16_t op,
-                             std::function<void(const rdma::Cqe&)> handler);
-  void unregister_read_handler(std::uint16_t op);
 
   // --- multicast fast path ---------------------------------------------------
   struct Subgroup {
@@ -258,8 +235,6 @@ class Endpoint {
   };
   Subgroup& subgroup(std::size_t s) { return subgroups_[s]; }
   std::size_t num_subgroups() const { return subgroups_.size(); }
-  void register_mcast_op(std::uint8_t tag, ChunkHandler handler);
-  void unregister_mcast_op(std::uint8_t tag);
   /// Reposts a UD staging slot after its copy drained (UD datapath step 4).
   void repost_staging(std::size_t subgroup, std::uint64_t slot_addr);
   /// Tops up the zero-length receive WRs consumed by UC write-with-imm.
@@ -276,6 +251,8 @@ class Endpoint {
   void setup_subgroups();
   void on_ctrl_cqe(const rdma::Cqe& cqe);
   void on_data_cqe(const rdma::Cqe& cqe);
+  /// Hands a control or data message to the op its immediate names.
+  void deliver_ctrl(const rdma::Cqe& cqe, const char* unknown_op);
   void on_data_send_cqe(const rdma::Cqe& cqe);
   void on_chunk_cqe(std::size_t subgroup, const rdma::Cqe& cqe);
 
@@ -299,10 +276,6 @@ class Endpoint {
   // once per control message, so the lookup is a plain vector load.
   std::vector<rdma::RcQp*> ctrl_qps_;
   std::vector<rdma::RcQp*> data_qps_;
-  std::unordered_map<std::uint16_t, CtrlHandler> ctrl_handlers_;
-  std::unordered_map<std::uint16_t, std::function<void(const rdma::Cqe&)>>
-      read_handlers_;
-  std::unordered_map<std::uint8_t, ChunkHandler> mcast_ops_;
   std::vector<Subgroup> subgroups_;
 };
 
@@ -378,6 +351,21 @@ class OpBase {
     (void)peer;
     (void)slow;
   }
+
+  // --- endpoint events: the Endpoint hands each CQE to the op it names ------
+  /// Control message, or P2P data message, whose immediate names this op's
+  /// id, received by rank `r` from `src`. The default aborts: an op without
+  /// a control plane never receives one.
+  virtual void on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src,
+                       const rdma::Cqe& cqe);
+  /// Fast-path chunk completion (receive, or the send's own completion)
+  /// carrying the multicast tag this op holds; runs on rank `r`'s worker
+  /// after the per-CQE datapath cost has been charged.
+  virtual void on_chunk(std::size_t /*r*/, std::uint32_t /*chunk*/,
+                        std::size_t /*sg*/, const rdma::Cqe& /*cqe*/) {}
+  /// Signaled data-plane send or RDMA Read completion whose wr_id names
+  /// this op (wr_id >> 32). Ops that do not track them ignore it.
+  virtual void on_send_done(std::size_t /*r*/, const rdma::Cqe& /*cqe*/) {}
 
  protected:
   void mark_started();
@@ -537,9 +525,16 @@ class Communicator {
 
  private:
   friend class OpBase;
+  friend class Endpoint;
   OpResult run_blocking(OpBase& op);
   void note_op_loss(bool lossy);
   void on_host_crash(fabric::NodeId host, bool crashed);
+  /// The op whose id is `id`, or null. ops_ is in creation order and op ids
+  /// grow with it, so a binary search finds it.
+  OpBase* find_op(std::uint16_t id) const;
+  /// Op id 0: detector heartbeats and relayed kPeerDead confirmations,
+  /// received by rank `r` from `src`.
+  void on_membership_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src);
 
   Cluster& cluster_;
   CommConfig config_;
@@ -553,12 +548,16 @@ class Communicator {
   std::uint64_t subgroup_repins_ = 0;
   std::vector<char> host_crashed_;
   std::uint64_t crash_listener_id_ = 0;
+  // Fast-path tag -> the newest op holding it (null: never bound).
+  std::array<OpBase*, 256> tag_ops_{};
   std::uint8_t next_tag_ = 1;
 
  public:
-  /// Allocates the next fast-path op tag (8 bits, recycled modulo 256).
-  std::uint8_t next_mcast_tag() {
+  /// Binds the next fast-path op tag to `op` (8 bits, recycled modulo 256
+  /// and never 0; a recycled tag moves to the newest op).
+  std::uint8_t bind_mcast_tag(OpBase& op) {
     if (next_tag_ == 0) ++next_tag_;
+    tag_ops_[next_tag_] = &op;
     return next_tag_++;
   }
 };

@@ -146,31 +146,8 @@ void Endpoint::ctrl_send(std::size_t peer, const CtrlMsg& msg) {
   });
 }
 
-void Endpoint::register_ctrl(std::uint16_t op, CtrlHandler handler) {
-  ctrl_handlers_[op] = std::move(handler);
-}
-
-void Endpoint::unregister_ctrl(std::uint16_t op) { ctrl_handlers_.erase(op); }
-
 rdma::RcQp& Endpoint::data_qp(std::size_t peer) {
   return comm_.data_qp(rank_, peer);
-}
-
-void Endpoint::register_read_handler(
-    std::uint16_t op, std::function<void(const rdma::Cqe&)> handler) {
-  read_handlers_[op] = std::move(handler);
-}
-
-void Endpoint::unregister_read_handler(std::uint16_t op) {
-  read_handlers_.erase(op);
-}
-
-void Endpoint::register_mcast_op(std::uint8_t tag, ChunkHandler handler) {
-  mcast_ops_[tag] = std::move(handler);
-}
-
-void Endpoint::unregister_mcast_op(std::uint8_t tag) {
-  mcast_ops_.erase(tag);
 }
 
 void Endpoint::repost_staging(std::size_t subgroup, std::uint64_t slot_addr) {
@@ -192,35 +169,35 @@ void Endpoint::top_up_uc_recvs(std::size_t subgroup) {
 
 std::uint64_t Endpoint::rnr_drops() const { return nic_.ud_rnr_drops(); }
 
+// mccl-lint: begin-hot coll-dispatch
 void Endpoint::on_ctrl_cqe(const rdma::Cqe& cqe) {
   // Recycle the consumed control-receive credit.
   rdma::Qp* qp = nic_.find_qp(cqe.qpn);
   MCCL_CHECK(qp != nullptr);
   qp->post_recv({});
-  MCCL_CHECK(cqe.has_imm);
-  const CtrlMsg msg = decode_ctrl(cqe.imm);
-  const std::size_t src = comm_.rank_of_host(cqe.src);
-  auto it = ctrl_handlers_.find(msg.op);
-  MCCL_CHECK_MSG(it != ctrl_handlers_.end(),
-                 "control message for unknown collective");
-  it->second(msg, src, cqe);
+  deliver_ctrl(cqe, "control message for unknown collective");
 }
 
 void Endpoint::on_data_cqe(const rdma::Cqe& cqe) {
+  deliver_ctrl(cqe, "data message for unknown collective");
+}
+
+void Endpoint::deliver_ctrl(const rdma::Cqe& cqe, const char* unknown_op) {
   MCCL_CHECK(cqe.has_imm);
   const CtrlMsg msg = decode_ctrl(cqe.imm);
   const std::size_t src = comm_.rank_of_host(cqe.src);
-  auto it = ctrl_handlers_.find(msg.op);
-  MCCL_CHECK_MSG(it != ctrl_handlers_.end(),
-                 "data message for unknown collective");
-  it->second(msg, src, cqe);
+  if (msg.op == 0) {
+    comm_.on_membership_ctrl(rank_, msg, src);
+    return;
+  }
+  OpBase* op = comm_.find_op(msg.op);
+  MCCL_CHECK_MSG(op != nullptr, unknown_op);
+  op->on_ctrl(rank_, msg, src, cqe);
 }
 
 void Endpoint::on_data_send_cqe(const rdma::Cqe& cqe) {
-  const std::uint16_t op = static_cast<std::uint16_t>(cqe.wr_id >> 32);
-  auto it = read_handlers_.find(op);
-  if (it == read_handlers_.end()) return;  // op does not track completions
-  it->second(cqe);
+  if (OpBase* op = comm_.find_op(static_cast<std::uint16_t>(cqe.wr_id >> 32)))
+    op->on_send_done(rank_, cqe);
 }
 
 void Endpoint::on_chunk_cqe(std::size_t subgroup, const rdma::Cqe& cqe) {
@@ -235,10 +212,11 @@ void Endpoint::on_chunk_cqe(std::size_t subgroup, const rdma::Cqe& cqe) {
     --g.posted;
     if (g.uc != nullptr) top_up_uc_recvs(subgroup);
   }
-  auto it = mcast_ops_.find(imm_op_tag(imm));
-  if (it == mcast_ops_.end()) return;  // late completion of a finished op
-  it->second(imm_chunk(imm), subgroup, cqe);
+  OpBase* op = comm_.tag_ops_[imm_op_tag(imm)];
+  if (op == nullptr) return;  // tag never bound: nothing to deliver to
+  op->on_chunk(rank_, imm_chunk(imm), subgroup, cqe);
 }
+// mccl-lint: end-hot
 
 // ---------------------------------------------------------------------------
 // Communicator wiring for the RC QP meshes

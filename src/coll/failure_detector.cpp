@@ -6,6 +6,14 @@
 
 namespace mccl::coll {
 
+namespace {
+/// Hard bound on one activation window: if an op keeps the detector alive
+/// longer than this, ticking stops so a wedged simulation drains (and trips
+/// the usual incomplete-run check) instead of spinning forever. The
+/// collective watchdog fires far earlier.
+constexpr Time kMaxActive = 500000 * kMicrosecond;
+}  // namespace
+
 FailureDetector::FailureDetector(Communicator& comm, DetectorConfig cfg)
     : comm_(comm), cfg_(cfg) {
   const std::size_t P = comm_.size();
@@ -66,7 +74,7 @@ void FailureDetector::tick(std::size_t rank, std::uint64_t gen) {
   if (gen != generation_ || active_ops_ == 0) return;
   sim::Engine& eng = comm_.cluster().engine();
   const Time now = eng.now();
-  if (now - activated_at_ > cfg_.max_active) return;  // wedged-run bound
+  if (now - activated_at_ > kMaxActive) return;  // wedged-run bound
   Endpoint& ep = comm_.ep(rank);
   // A crashed host's software is gone: it neither emits heartbeats nor
   // checks its lease. (Its NIC would drop the sends anyway; stopping the

@@ -54,11 +54,6 @@ struct DetectorConfig {
   std::uint32_t suspect_threshold = 3;
   /// Seeds the per-rank tick phase jitter (decorrelates rank timers).
   std::uint64_t seed = 1;
-  /// Hard bound on one activation window: if an op keeps the detector
-  /// alive longer than this, ticking stops so a wedged simulation drains
-  /// (and trips the usual incomplete-run check) instead of spinning
-  /// forever. The collective watchdog fires far earlier.
-  Time max_active = 500000 * kMicrosecond;
 };
 
 class FailureDetector {

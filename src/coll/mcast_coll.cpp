@@ -10,6 +10,16 @@
 namespace mccl::coll {
 
 namespace {
+/// Fetch requests sent to one target before failing over to its left
+/// neighbor (skipping the unresponsive rank; the chain still ends at the
+/// block root, which always holds its own block).
+constexpr std::size_t kFetchRetryCap = 3;
+/// Hard per-op deadline as a multiple of the worst rank's cutoff deadline.
+/// On expiry the op dumps per-rank protocol state and fails with a
+/// structured error instead of hanging the simulation (e.g. a partitioned
+/// fabric with no surviving path).
+constexpr double kWatchdogMultiplier = 50.0;
+
 std::size_t ceil_log2(std::size_t n) {
   std::size_t k = 0, v = 1;
   while (v < n) {
@@ -28,7 +38,7 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
            comm.config().subgroups, p_.roots.size()),
       schedule_(p_.roots.size(), std::min(comm.config().chains,
                                           p_.roots.size())),
-      tag_(comm.next_mcast_tag()),
+      tag_(comm.bind_mcast_tag(*this)),
       rkey_(comm.cluster().next_shared_rkey()),
       barrier_rounds_(ceil_log2(comm.size())) {
   const std::size_t P = comm_.size();
@@ -102,28 +112,6 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
         p_.roots.size() - (s.root_index >= 0 ? 1 : 0);
     s.expected = foreign_blocks * map_.chunks_per_block();
     s.local_copy_done = s.root_index < 0;  // roots copy their block locally
-
-    // Handlers.
-    ep.register_mcast_op(tag_, [this, r](std::uint32_t chunk, std::size_t sg,
-                                         const rdma::Cqe& cqe) {
-      on_chunk(r, chunk, sg, cqe);
-    });
-    ep.register_ctrl(id(), [this, r](const CtrlMsg& m, std::size_t src,
-                                     const rdma::Cqe& cqe) {
-      on_ctrl(r, m, src, cqe);
-    });
-    ep.register_read_handler(id(), [this, r](const rdma::Cqe& cqe) {
-      on_read_done(r, cqe);
-    });
-  }
-}
-
-McastCollective::~McastCollective() {
-  for (std::size_t r = 0; r < comm_.size(); ++r) {
-    Endpoint& ep = comm_.ep(r);
-    ep.unregister_mcast_op(tag_);
-    ep.unregister_ctrl(id());
-    ep.unregister_read_handler(id());
   }
 }
 
@@ -557,7 +545,6 @@ void McastCollective::start_fetch(std::size_t r, std::size_t block,
 
 void McastCollective::arm_fetch_retry(std::size_t r, std::size_t block) {
   const BlockFetch& f = st_[r].fetch[block];
-  if (comm_.config().fetch_retry_timeout == 0) return;  // retries disabled
   // Exponential backoff per attempt against the current target.
   const Time delay = comm_.config().fetch_retry_timeout
                      << (f.attempts > 0 ? f.attempts - 1 : 0);
@@ -584,7 +571,7 @@ void McastCollective::on_fetch_retry(std::size_t r, std::size_t block,
         s.block_abandoned[block])
       return;
   }
-  if (f.attempts < comm_.config().fetch_retry_cap) {
+  if (f.attempts < kFetchRetryCap) {
     // Same target, another request: the original (or its ACK) may have
     // been lost on a degraded link.
     ++f.attempts;
@@ -713,7 +700,7 @@ void McastCollective::on_fetch_ack(std::size_t r, std::size_t block,
   }
 }
 
-void McastCollective::on_read_done(std::size_t r, const rdma::Cqe& cqe) {
+void McastCollective::on_send_done(std::size_t r, const rdma::Cqe& cqe) {
   RankState& s = st_[r];
   if (failed_ || rank_crashed(r)) return;
   MCCL_CHECK(cqe.opcode == rdma::CqeOpcode::kRead);
@@ -1155,14 +1142,11 @@ void McastCollective::on_slow_root_report(std::size_t r, std::size_t block,
 // --------------------------------------------------------------------------
 
 void McastCollective::arm_watchdog() {
-  Time deadline = comm_.config().watchdog_timeout;
-  if (deadline == 0) {
-    Time worst = 0;
-    for (std::size_t r = 0; r < comm_.size(); ++r)
-      worst = std::max(worst, cutoff_deadline(r));
-    deadline = static_cast<Time>(
-        static_cast<double>(worst) * comm_.config().watchdog_multiplier);
-  }
+  Time worst = 0;
+  for (std::size_t r = 0; r < comm_.size(); ++r)
+    worst = std::max(worst, cutoff_deadline(r));
+  const auto deadline =
+      static_cast<Time>(static_cast<double>(worst) * kWatchdogMultiplier);
   comm_.cluster().engine().schedule(deadline, [this] { on_watchdog(); });
 }
 

@@ -22,7 +22,7 @@
 //
 // Hardening beyond the paper (fault injection, see fabric/faults.hpp): a
 // fetch request that is not ACKed is retried with exponential backoff; after
-// `fetch_retry_cap` attempts the rank fails over to the target's own left
+// kFetchRetryCap (3) attempts the rank fails over to the target's own left
 // neighbor (skipping the unresponsive rank — the chain still terminates at
 // the block root, which owns its block). An op-level watchdog (a multiple of
 // the cutoff deadline) dumps protocol state and fails the op with a
@@ -84,7 +84,6 @@ class McastCollective : public OpBase {
   };
 
   McastCollective(Communicator& comm, std::string name, Params params);
-  ~McastCollective() override;
 
   void start() override;
   bool verify() const override;
@@ -241,7 +240,7 @@ class McastCollective : public OpBase {
 
   // Receive path.
   void on_chunk(std::size_t r, std::uint32_t chunk, std::size_t sg,
-                const rdma::Cqe& cqe);
+                const rdma::Cqe& cqe) override;
   bool set_chunk(std::size_t r, std::uint32_t id);
   void check_data_complete(std::size_t r);
   /// Every foreign block either fully received or abandoned.
@@ -258,7 +257,8 @@ class McastCollective : public OpBase {
   void arm_fetch_retry(std::size_t r, std::size_t block);
   void on_fetch_retry(std::size_t r, std::size_t block, std::uint64_t gen);
   void on_fetch_ack(std::size_t r, std::size_t block, std::size_t src);
-  void on_read_done(std::size_t r, const rdma::Cqe& cqe);
+  /// Fetch-layer RDMA Read completion.
+  void on_send_done(std::size_t r, const rdma::Cqe& cqe) override;
 
   // Crash repair.
   void note_repair(std::size_t r);
@@ -296,7 +296,7 @@ class McastCollective : public OpBase {
 
   // Handshake / completion.
   void on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src,
-               const rdma::Cqe& cqe);
+               const rdma::Cqe& cqe) override;
   void check_op_done(std::size_t r);
 
   /// Non-owning view of one subgroup's block-local chunk indices (CSR row).

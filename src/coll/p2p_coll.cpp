@@ -78,17 +78,6 @@ P2PBroadcast::P2PBroadcast(Communicator& comm, std::size_t root,
     if (v != 0) s.parent = static_cast<int>((tree_parent(v, algo_) + root_) % P);
     if (fill && r == root_) fill_pattern(ep.nic().memory(), s.sendbuf, bytes_,
                                          id(), root_);
-    ep.register_ctrl(id(), [this, r](const CtrlMsg& m, std::size_t src,
-                                     const rdma::Cqe& cqe) {
-      on_ctrl(r, m, src, cqe);
-    });
-    // Chained child sends complete through the data send CQ.
-    ep.register_read_handler(id(), [this, r](const rdma::Cqe& cqe) {
-      const std::size_t child_idx = static_cast<std::uint32_t>(cqe.wr_id);
-      if (child_idx + 1 < st_[r].children.size())
-        send_to_child(r, child_idx + 1,
-                      r == root_ ? st_[r].sendbuf : st_[r].recvbuf);
-    });
   }
   // Op-owned tree edges; pre-post the receive on the child side (zero-copy:
   // directly into the user buffer — the RC rendezvous path).
@@ -100,13 +89,6 @@ P2PBroadcast::P2PBroadcast(Communicator& comm, std::size_t root,
       cq->post_recv({.wr_id = 0, .laddr = st_[child].recvbuf,
                      .len = static_cast<std::uint32_t>(bytes_)});
     }
-  }
-}
-
-P2PBroadcast::~P2PBroadcast() {
-  for (std::size_t r = 0; r < comm_.size(); ++r) {
-    comm_.ep(r).unregister_ctrl(id());
-    comm_.ep(r).unregister_read_handler(id());
   }
 }
 
@@ -142,6 +124,14 @@ void P2PBroadcast::send_to_child(std::size_t r, std::size_t child_idx,
     flags.wr_id = (static_cast<std::uint64_t>(id()) << 32) | child_idx;
     st_[r].child_qps[child_idx]->post_send(src_addr, bytes_, flags);
   });
+}
+
+// Chained child sends complete through the data send CQ.
+void P2PBroadcast::on_send_done(std::size_t r, const rdma::Cqe& cqe) {
+  const std::size_t child_idx = static_cast<std::uint32_t>(cqe.wr_id);
+  if (child_idx + 1 < st_[r].children.size())
+    send_to_child(r, child_idx + 1,
+                  r == root_ ? st_[r].sendbuf : st_[r].recvbuf);
 }
 
 void P2PBroadcast::on_ctrl(std::size_t r, const CtrlMsg& msg,
@@ -191,10 +181,6 @@ RingAllgather::RingAllgather(Communicator& comm, std::uint64_t bytes)
     s.sendbuf = ep.nic().memory().alloc(bytes_);
     s.recvbuf = ep.nic().memory().alloc(bytes_ * P);
     if (fill) fill_pattern(ep.nic().memory(), s.sendbuf, bytes_, id(), r);
-    ep.register_ctrl(id(), [this, r](const CtrlMsg& m, std::size_t src,
-                                     const rdma::Cqe& cqe) {
-      on_ctrl(r, m, src, cqe);
-    });
   }
   // Op-owned ring edges; pre-post the P-1 receives toward the left
   // neighbor. RC delivers in order, and the left neighbor forwards blocks
@@ -213,11 +199,6 @@ RingAllgather::RingAllgather(Communicator& comm, std::uint64_t bytes)
                                  .len = static_cast<std::uint32_t>(bytes_)});
     }
   }
-}
-
-RingAllgather::~RingAllgather() {
-  for (std::size_t r = 0; r < comm_.size(); ++r)
-    comm_.ep(r).unregister_ctrl(id());
 }
 
 void RingAllgather::start() {
@@ -307,10 +288,6 @@ LinearAllgather::LinearAllgather(Communicator& comm, std::uint64_t bytes)
     MCCL_CHECK(s.recvbuf == st_[0].recvbuf);
     ep.nic().mrs().register_with_rkey(s.recvbuf, bytes_ * P, rkey_);
     if (fill) fill_pattern(ep.nic().memory(), s.sendbuf, bytes_, id(), r);
-    ep.register_ctrl(id(), [this, r](const CtrlMsg& m, std::size_t src,
-                                     const rdma::Cqe& cqe) {
-      on_ctrl(r, m, src, cqe);
-    });
   }
   // Op-owned all-to-all mesh; one write-with-imm credit per peer QP.
   for (std::size_t r = 0; r < P; ++r) st_[r].peer_qps.resize(P, nullptr);
@@ -323,11 +300,6 @@ LinearAllgather::LinearAllgather(Communicator& comm, std::uint64_t bytes)
       qb->post_recv({});
     }
   }
-}
-
-LinearAllgather::~LinearAllgather() {
-  for (std::size_t r = 0; r < comm_.size(); ++r)
-    comm_.ep(r).unregister_ctrl(id());
 }
 
 void LinearAllgather::start() {

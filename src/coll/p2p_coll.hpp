@@ -22,7 +22,6 @@ class P2PBroadcast : public OpBase {
  public:
   P2PBroadcast(Communicator& comm, std::size_t root, std::uint64_t bytes,
                BcastAlgo algo);
-  ~P2PBroadcast() override;
 
   void start() override;
   bool verify() const override;
@@ -44,7 +43,9 @@ class P2PBroadcast : public OpBase {
   void send_to_child(std::size_t r, std::size_t child_idx,
                      std::uint64_t src_addr);
   void on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src,
-               const rdma::Cqe& cqe);
+               const rdma::Cqe& cqe) override;
+  /// A child send completed: chain the next child.
+  void on_send_done(std::size_t r, const rdma::Cqe& cqe) override;
   void maybe_done(std::size_t r);
 
   std::size_t root_;
@@ -58,7 +59,6 @@ class P2PBroadcast : public OpBase {
 class RingAllgather : public OpBase {
  public:
   RingAllgather(Communicator& comm, std::uint64_t bytes);
-  ~RingAllgather() override;
 
   void start() override;
   bool verify() const override;
@@ -75,7 +75,7 @@ class RingAllgather : public OpBase {
   };
 
   void on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src,
-               const rdma::Cqe& cqe);
+               const rdma::Cqe& cqe) override;
   void send_block(std::size_t r, std::size_t block);
   void maybe_done(std::size_t r);
 
@@ -88,7 +88,6 @@ class RingAllgather : public OpBase {
 class LinearAllgather : public OpBase {
  public:
   LinearAllgather(Communicator& comm, std::uint64_t bytes);
-  ~LinearAllgather() override;
 
   void start() override;
   bool verify() const override;
@@ -104,7 +103,7 @@ class LinearAllgather : public OpBase {
   };
 
   void on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src,
-               const rdma::Cqe& cqe);
+               const rdma::Cqe& cqe) override;
   void maybe_done(std::size_t r);
 
   std::uint64_t bytes_;

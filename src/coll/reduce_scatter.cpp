@@ -50,10 +50,6 @@ RingReduceScatter::RingReduceScatter(Communicator& comm,
     if (fill)
       for (std::size_t b = 0; b < P; ++b)
         fill_rs_block(ep.nic().memory(), s.sendbuf + b * bytes_, bytes_, r, b);
-    ep.register_ctrl(id(), [this, r](const CtrlMsg& m, std::size_t src,
-                                     const rdma::Cqe& cqe) {
-      on_ctrl(r, m, src, cqe);
-    });
   }
   // Op-owned ring edges; (P-1) * segments in-order receives from the left
   // into distinct scratch slots (step-major, segment-minor order matches
@@ -75,11 +71,6 @@ RingReduceScatter::RingReduceScatter(Communicator& comm,
       }
     }
   }
-}
-
-RingReduceScatter::~RingReduceScatter() {
-  for (std::size_t r = 0; r < comm_.size(); ++r)
-    comm_.ep(r).unregister_ctrl(id());
 }
 
 std::size_t RingReduceScatter::num_segments() const {
@@ -240,8 +231,6 @@ IncReduceScatter::IncReduceScatter(Communicator& comm,
   }
 }
 
-IncReduceScatter::~IncReduceScatter() = default;
-
 void IncReduceScatter::start() {
   mark_started();
   for (std::size_t r = 0; r < comm_.size(); ++r)
@@ -340,20 +329,15 @@ bool IncReduceScatter::verify() const {
 BarrierOp::BarrierOp(Communicator& comm)
     : OpBase(comm, "barrier"), rounds_(ceil_log2(comm.size())) {
   st_.resize(comm.size());
-  for (std::size_t r = 0; r < comm_.size(); ++r) {
+  for (std::size_t r = 0; r < comm_.size(); ++r)
     st_[r].seen.assign(rounds_ == 0 ? 1 : rounds_, 0);
-    comm_.ep(r).register_ctrl(
-        id(), [this, r](const CtrlMsg& m, std::size_t, const rdma::Cqe&) {
-          MCCL_CHECK(m.type == CtrlType::kBarrier);
-          ++st_[r].seen[m.arg];
-          advance(r);
-        });
-  }
 }
 
-BarrierOp::~BarrierOp() {
-  for (std::size_t r = 0; r < comm_.size(); ++r)
-    comm_.ep(r).unregister_ctrl(id());
+void BarrierOp::on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t,
+                        const rdma::Cqe&) {
+  MCCL_CHECK(msg.type == CtrlType::kBarrier);
+  ++st_[r].seen[msg.arg];
+  advance(r);
 }
 
 void BarrierOp::start() {

@@ -28,7 +28,6 @@ inline float rs_value(std::size_t origin, std::size_t block,
 class RingReduceScatter : public OpBase {
  public:
   RingReduceScatter(Communicator& comm, std::uint64_t block_bytes);
-  ~RingReduceScatter() override;
 
   void start() override;
   bool verify() const override;
@@ -49,7 +48,7 @@ class RingReduceScatter : public OpBase {
   std::uint64_t seg_off(std::size_t g) const;
   std::uint64_t seg_len(std::size_t g) const;
   void on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src,
-               const rdma::Cqe& cqe);
+               const rdma::Cqe& cqe) override;
   void send_from(std::size_t r, std::uint64_t addr, std::uint64_t len);
   void accumulate(std::size_t r, std::uint64_t acc_addr,
                   std::uint64_t own_addr, std::uint64_t len);
@@ -61,7 +60,6 @@ class RingReduceScatter : public OpBase {
 class IncReduceScatter : public OpBase {
  public:
   IncReduceScatter(Communicator& comm, std::uint64_t block_bytes);
-  ~IncReduceScatter() override;
 
   void start() override;
   bool verify() const override;
@@ -91,7 +89,6 @@ class IncReduceScatter : public OpBase {
 class BarrierOp : public OpBase {
  public:
   explicit BarrierOp(Communicator& comm);
-  ~BarrierOp() override;
 
   void start() override;
   bool verify() const override { return true; }
@@ -102,6 +99,8 @@ class BarrierOp : public OpBase {
     std::vector<std::size_t> seen;
     bool done = false;
   };
+  void on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src,
+               const rdma::Cqe& cqe) override;
   void send_round(std::size_t r);
   void advance(std::size_t r);
 

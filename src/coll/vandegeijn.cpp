@@ -33,10 +33,6 @@ ScatterAllgatherBcast::ScatterAllgatherBcast(Communicator& comm,
     s.recvbuf = ep.nic().memory().alloc(bytes_);
     if (fill && r == root_)
       fill_pattern(ep.nic().memory(), s.sendbuf, bytes_, id(), root_);
-    ep.register_ctrl(id(), [this, r](const CtrlMsg& m, std::size_t src,
-                                     const rdma::Cqe& cqe) {
-      on_ctrl(r, m, src, cqe);
-    });
   }
 
   // Scatter tree: halving recursion over shifted rank space. Each edge is
@@ -79,11 +75,6 @@ ScatterAllgatherBcast::ScatterAllgatherBcast(Communicator& comm,
            .len = static_cast<std::uint32_t>(piece_len(piece))});
     }
   }
-}
-
-ScatterAllgatherBcast::~ScatterAllgatherBcast() {
-  for (std::size_t r = 0; r < comm_.size(); ++r)
-    comm_.ep(r).unregister_ctrl(id());
 }
 
 std::size_t ScatterAllgatherBcast::actual(std::size_t shifted) const {
@@ -233,10 +224,6 @@ RecDoublingAllgather::RecDoublingAllgather(Communicator& comm,
     s.partner_qps.resize(rounds_, nullptr);
     s.seen.assign(rounds_, 0);
     if (fill) fill_pattern(ep.nic().memory(), s.sendbuf, bytes_, id(), r);
-    ep.register_ctrl(id(), [this, r](const CtrlMsg& m, std::size_t src,
-                                     const rdma::Cqe& cqe) {
-      on_ctrl(r, m, src, cqe);
-    });
   }
   // One QP pair per (rank, round); pre-post the partner's range for each
   // round — ranges are deterministic from the rank bits.
@@ -257,11 +244,6 @@ RecDoublingAllgather::RecDoublingAllgather(Communicator& comm,
            .len = static_cast<std::uint32_t>(dist * bytes_)});
     }
   }
-}
-
-RecDoublingAllgather::~RecDoublingAllgather() {
-  for (std::size_t r = 0; r < comm_.size(); ++r)
-    comm_.ep(r).unregister_ctrl(id());
 }
 
 void RecDoublingAllgather::start() {

@@ -14,7 +14,6 @@ class ScatterAllgatherBcast : public OpBase {
  public:
   ScatterAllgatherBcast(Communicator& comm, std::size_t root,
                         std::uint64_t bytes);
-  ~ScatterAllgatherBcast() override;
 
   void start() override;
   bool verify() const override;
@@ -49,7 +48,7 @@ class ScatterAllgatherBcast : public OpBase {
   void begin_ring(std::size_t r);
   void send_piece(std::size_t r, std::size_t piece);
   void on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src,
-               const rdma::Cqe& cqe);
+               const rdma::Cqe& cqe) override;
   void maybe_done(std::size_t r);
 
   std::size_t root_;
@@ -60,7 +59,6 @@ class ScatterAllgatherBcast : public OpBase {
 class RecDoublingAllgather : public OpBase {
  public:
   RecDoublingAllgather(Communicator& comm, std::uint64_t bytes);
-  ~RecDoublingAllgather() override;
 
   void start() override;
   bool verify() const override;
@@ -78,7 +76,7 @@ class RecDoublingAllgather : public OpBase {
 
   void send_round(std::size_t r);
   void on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src,
-               const rdma::Cqe& cqe);
+               const rdma::Cqe& cqe) override;
 
   std::uint64_t bytes_;
   std::size_t rounds_ = 0;

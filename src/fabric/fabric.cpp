@@ -1,8 +1,6 @@
 #include "src/fabric/fabric.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
 #include <string>
 
 #include "src/telemetry/telemetry.hpp"
@@ -359,21 +357,12 @@ int Fabric::pick_next_hop(NodeId node, const Packet& packet) {
     }
     return cand[rng_.below(cand.size())];
   }
-  // Deterministic ECMP: mix flow id, node and destination so distinct flows
-  // spread while one flow stays on one path (in-order delivery).
-  std::uint64_t h = packet.flow_id * 0x9e3779b97f4a7c15ULL;
-  h ^= (static_cast<std::uint64_t>(node) << 32) ^
-       static_cast<std::uint64_t>(packet.dst_host);
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 29;
+  const std::uint64_t h = ecmp_hash(packet.flow_id, node, packet.dst_host);
   if (weighted_) {
     const int c = pick_weighted(node, cand, h, /*adaptive=*/false);
     if (c >= 0) return c;
   }
-  // Fat-tree uplink counts are powers of two in practice; mask instead of a
-  // 64-bit divide when possible (identical result).
-  const std::size_t n = cand.size();
-  return cand[(n & (n - 1)) == 0 ? (h & (n - 1)) : (h % n)];
+  return cand.by_hash(h);
 }
 
 int Fabric::pick_weighted(NodeId node, const Topology::HopSet& cand,
@@ -451,81 +440,7 @@ void Fabric::set_mcast_group_rail(McastGroupId group, int rail) {
 }
 
 void Fabric::build_mcast_tree(McastGroup& group) {
-  MCCL_CHECK_MSG(group.members.size() >= 2, "mcast group needs >= 2 members");
-  group.tree_ports.assign(topo_.num_nodes(), {});
-
-  // Rail-striped groups keep their tree inside one rail plane: switches of
-  // other rails are invisible to root selection and tree flooding (hosts
-  // straddle all rails and always qualify).
-  const auto rail_ok = [&](NodeId n) {
-    return group.rail < 0 || topo_.is_host(n) ||
-           topo_.rail_of(n) == group.rail;
-  };
-
-  // Root selection: the node minimizing the maximum distance to any member
-  // (prefer switches). This mirrors the subnet manager placing the mcast
-  // tree root near the topological center.
-  NodeId root = group.members.front();
-  int best = std::numeric_limits<int>::max();
-  for (std::size_t n = 0; n < topo_.num_nodes(); ++n) {
-    const NodeId node = static_cast<NodeId>(n);
-    if (!rail_ok(node)) continue;
-    if (topo_.is_host(node) &&
-        std::find(group.members.begin(), group.members.end(), node) ==
-            group.members.end())
-      continue;  // a non-member host cannot relay traffic
-    int worst = 0;
-    for (NodeId m : group.members)
-      worst = std::max(worst, node == m ? 0 : topo_.distance(node, m));
-    const bool prefer =
-        worst < best || (worst == best && !topo_.is_host(node) &&
-                         topo_.is_host(root));
-    if (prefer) {
-      best = worst;
-      root = node;
-    }
-  }
-
-  // BFS tree from the root with unique parents (first discovery wins), then
-  // keep only the edges on some member's path to the root. Unique parents
-  // guarantee the flooded subgraph is acyclic. Edges are stored as
-  // (node, port) on both endpoints; forwarding floods a packet to every tree
-  // port except its ingress.
-  constexpr int kNoParent = -1;
-  std::vector<int> parent_port(topo_.num_nodes(), kNoParent);  // port at child
-  std::vector<bool> visited(topo_.num_nodes(), false);
-  std::deque<NodeId> frontier;
-  visited[static_cast<size_t>(root)] = true;
-  frontier.push_back(root);
-  while (!frontier.empty()) {
-    const NodeId cur = frontier.front();
-    frontier.pop_front();
-    const auto& ports = topo_.ports(cur);
-    for (std::size_t pi = 0; pi < ports.size(); ++pi) {
-      const NodeId peer = ports[pi].peer;
-      if (visited[static_cast<size_t>(peer)] || !rail_ok(peer)) continue;
-      visited[static_cast<size_t>(peer)] = true;
-      parent_port[static_cast<size_t>(peer)] = ports[pi].peer_port;
-      frontier.push_back(peer);
-    }
-  }
-
-  auto add_edge = [&](NodeId node, int port) {
-    auto& tp = group.tree_ports[static_cast<size_t>(node)];
-    if (std::find(tp.begin(), tp.end(), port) == tp.end()) tp.push_back(port);
-  };
-  for (NodeId member : group.members) {
-    MCCL_CHECK_MSG(visited[static_cast<size_t>(member)],
-                   "mcast member unreachable from tree root");
-    NodeId cur = member;
-    while (cur != root) {
-      const int port = parent_port[static_cast<size_t>(cur)];
-      const Port& p = topo_.ports(cur)[static_cast<size_t>(port)];
-      add_edge(cur, port);
-      add_edge(p.peer, p.peer_port);
-      cur = p.peer;
-    }
-  }
+  group.tree_ports = topo_.mcast_tree_ports(group.members, group.rail);
   group.tree_ready = true;
 }
 

@@ -1,8 +1,6 @@
 #include "src/fabric/sharded_fabric.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
 
 #include "src/common/check.hpp"
 
@@ -20,79 +18,10 @@ ShardedFabric::ShardedFabric(sim::ParallelEngine& engine, const Topology& topo,
   nodes_.resize(topo_.num_nodes());
 }
 
-int ShardedFabric::create_group(std::vector<NodeId> members, int rail) {
-  McastGroup g;
-  g.members = std::move(members);
-  build_tree(g, rail);
-  groups_.push_back(std::move(g));
+int ShardedFabric::create_group(const std::vector<NodeId>& members,
+                                int rail) {
+  groups_.push_back({topo_.mcast_tree_ports(members, rail)});
   return static_cast<int>(groups_.size()) - 1;
-}
-
-void ShardedFabric::build_tree(McastGroup& group, int rail) const {
-  MCCL_CHECK_MSG(group.members.size() >= 2, "mcast group needs >= 2 members");
-  MCCL_CHECK_MSG(topo_.routes_ready(), "mcast tree needs compute_routes()");
-  group.tree_ports.assign(topo_.num_nodes(), {});
-  const auto rail_ok = [&](NodeId n) {
-    return rail < 0 || topo_.is_host(n) || topo_.rail_of(n) == rail;
-  };
-
-  // Root: the node minimizing the worst member distance, preferring
-  // switches — same rule as Fabric::build_mcast_tree so storm trees match
-  // the full-stack fabric's shape.
-  NodeId root = group.members.front();
-  int best = std::numeric_limits<int>::max();
-  for (std::size_t n = 0; n < topo_.num_nodes(); ++n) {
-    const NodeId node = static_cast<NodeId>(n);
-    if (!rail_ok(node)) continue;
-    if (topo_.is_host(node) &&
-        std::find(group.members.begin(), group.members.end(), node) ==
-            group.members.end())
-      continue;
-    int worst = 0;
-    for (NodeId m : group.members)
-      worst = std::max(worst, node == m ? 0 : topo_.distance(node, m));
-    if (worst < best ||
-        (worst == best && !topo_.is_host(node) && topo_.is_host(root))) {
-      best = worst;
-      root = node;
-    }
-  }
-
-  // BFS with unique parents, then keep only member-to-root path edges.
-  constexpr int kNoParent = -1;
-  std::vector<int> parent_port(topo_.num_nodes(), kNoParent);
-  std::vector<bool> visited(topo_.num_nodes(), false);
-  std::deque<NodeId> frontier;
-  visited[static_cast<std::size_t>(root)] = true;
-  frontier.push_back(root);
-  while (!frontier.empty()) {
-    const NodeId cur = frontier.front();
-    frontier.pop_front();
-    const auto& ports = topo_.ports(cur);
-    for (std::size_t pi = 0; pi < ports.size(); ++pi) {
-      const NodeId peer = ports[pi].peer;
-      if (visited[static_cast<std::size_t>(peer)] || !rail_ok(peer)) continue;
-      visited[static_cast<std::size_t>(peer)] = true;
-      parent_port[static_cast<std::size_t>(peer)] = ports[pi].peer_port;
-      frontier.push_back(peer);
-    }
-  }
-  auto add_edge = [&](NodeId node, int port) {
-    auto& tp = group.tree_ports[static_cast<std::size_t>(node)];
-    if (std::find(tp.begin(), tp.end(), port) == tp.end()) tp.push_back(port);
-  };
-  for (NodeId member : group.members) {
-    MCCL_CHECK_MSG(visited[static_cast<std::size_t>(member)],
-                   "mcast member unreachable from tree root");
-    NodeId cur = member;
-    while (cur != root) {
-      const int port = parent_port[static_cast<std::size_t>(cur)];
-      const Port& p = topo_.ports(cur)[static_cast<std::size_t>(port)];
-      add_edge(cur, port);
-      add_edge(p.peer, p.peer_port);
-      cur = p.peer;
-    }
-  }
 }
 
 // mccl: shard-context the window toggles run on each direction's owner core
@@ -158,15 +87,7 @@ void ShardedFabric::host_send(NodeId host, const StormPacket& pkt) {
 int ShardedFabric::pick_next_hop(NodeId node, const StormPacket& pkt) const {
   const Topology::HopSet cand = topo_.next_hops(node, pkt.dst_host);
   if (cand.size() == 1) return cand.front();
-  // Deterministic ECMP — the same mix as Fabric::pick_next_hop, so storm
-  // flows spread exactly like full-stack flows on the same topology.
-  std::uint64_t h = static_cast<std::uint64_t>(pkt.flow) * 0x9e3779b97f4a7c15ULL;
-  h ^= (static_cast<std::uint64_t>(node) << 32) ^
-       static_cast<std::uint64_t>(pkt.dst_host);
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 29;
-  const std::size_t n = cand.size();
-  return cand[(n & (n - 1)) == 0 ? (h & (n - 1)) : (h % n)];
+  return cand.by_hash(ecmp_hash(pkt.flow, node, pkt.dst_host));
 }
 
 // mccl-lint: begin-hot sharded-wire

@@ -71,9 +71,10 @@ class ShardedFabric {
 
   // --- Setup (before run; single-threaded) --------------------------------
   void set_delivery(Delivery fn) { delivery_ = std::move(fn); }
-  /// Builds a BFS multicast tree over `members` (all hosts). Returns the
+  /// Builds the multicast tree over `members` (all hosts) with
+  /// Topology::mcast_tree_ports, as the full-stack fabric does. Returns the
   /// group id. `rail` >= 0 pins the tree to one rail plane's switches.
-  int create_group(std::vector<NodeId> members, int rail = -1);
+  int create_group(const std::vector<NodeId>& members, int rail = -1);
   /// Takes both directions of the a<->b link down over [down, up).
   void add_link_down(NodeId a, NodeId b, Time down, Time up);
   /// Crashes `node` over [down, up): everything arriving at or injected
@@ -129,7 +130,6 @@ class ShardedFabric {
     std::uint64_t digest_run = debug::kHashSeed;
   };
   struct McastGroup {
-    std::vector<NodeId> members;
     std::vector<std::vector<int>> tree_ports;  // node -> tree ports
   };
 
@@ -138,7 +138,6 @@ class ShardedFabric {
   void arrive(NodeId node, int in_port, const StormPacket& pkt);
   void forward(NodeId node, int in_port, const StormPacket& pkt);
   int pick_next_hop(NodeId node, const StormPacket& pkt) const;
-  void build_tree(McastGroup& g, int rail) const;
   void fold_arrival(NodeState& st, Time t, const StormPacket& pkt);
 
   sim::ParallelEngine& engine_;

@@ -1,5 +1,6 @@
 #include "src/fabric/topology.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <limits>
 
@@ -103,6 +104,75 @@ int Topology::distance(NodeId node, NodeId dst_host) const {
   const int d = dist_[hi * num_nodes() + static_cast<size_t>(node)];
   MCCL_CHECK_MSG(d != kUnreachable, "host unreachable");
   return d;
+}
+
+std::vector<int> Topology::bfs_parent_ports(NodeId root, int rail) const {
+  std::vector<int> parent_port(num_nodes(), -1);
+  std::vector<bool> visited(num_nodes(), false);
+  std::deque<NodeId> frontier;
+  visited[static_cast<size_t>(root)] = true;
+  frontier.push_back(root);
+  while (!frontier.empty()) {
+    const NodeId cur = frontier.front();
+    frontier.pop_front();
+    for (const Port& p : ports(cur)) {
+      if (visited[static_cast<size_t>(p.peer)] || !on_rail(p.peer, rail))
+        continue;
+      visited[static_cast<size_t>(p.peer)] = true;
+      parent_port[static_cast<size_t>(p.peer)] = p.peer_port;
+      frontier.push_back(p.peer);
+    }
+  }
+  return parent_port;
+}
+
+std::vector<std::vector<int>> Topology::mcast_tree_ports(
+    const std::vector<NodeId>& members, int rail) const {
+  MCCL_CHECK_MSG(members.size() >= 2, "mcast group needs >= 2 members");
+  // Root selection: the node minimizing the maximum distance to any member
+  // (prefer switches). This mirrors the subnet manager placing the mcast
+  // tree root near the topological center.
+  NodeId root = members.front();
+  int best = std::numeric_limits<int>::max();
+  for (std::size_t n = 0; n < num_nodes(); ++n) {
+    const NodeId node = static_cast<NodeId>(n);
+    if (!on_rail(node, rail)) continue;
+    if (is_host(node) &&
+        std::find(members.begin(), members.end(), node) == members.end())
+      continue;  // a non-member host cannot relay traffic
+    int worst = 0;
+    for (NodeId m : members)
+      worst = std::max(worst, node == m ? 0 : distance(node, m));
+    if (worst < best ||
+        (worst == best && !is_host(node) && is_host(root))) {
+      best = worst;
+      root = node;
+    }
+  }
+
+  // Keep only the BFS edges on some member's path to the root, stored as
+  // (node, port) on both endpoints; forwarding floods a packet to every
+  // tree port except its ingress.
+  const std::vector<int> parent_port = bfs_parent_ports(root, rail);
+  std::vector<std::vector<int>> tree(num_nodes());
+  auto add_edge = [&](NodeId node, int port) {
+    auto& tp = tree[static_cast<size_t>(node)];
+    if (std::find(tp.begin(), tp.end(), port) == tp.end()) tp.push_back(port);
+  };
+  for (NodeId member : members) {
+    MCCL_CHECK_MSG(
+        member == root || parent_port[static_cast<size_t>(member)] >= 0,
+        "mcast member unreachable from tree root");
+    NodeId cur = member;
+    while (cur != root) {
+      const int port = parent_port[static_cast<size_t>(cur)];
+      const Port& p = ports(cur)[static_cast<size_t>(port)];
+      add_edge(cur, port);
+      add_edge(p.peer, p.peer_port);
+      cur = p.peer;
+    }
+  }
+  return tree;
 }
 
 Topology make_back_to_back(LinkParams params) {

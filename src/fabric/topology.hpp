@@ -96,6 +96,13 @@ class Topology {
     int front() const { return ptr[0]; }
     std::size_t size() const { return count; }
     bool empty() const { return count == 0; }
+    /// The candidate a flow hash (ecmp_hash) selects. Fat-tree uplink
+    /// counts are powers of two in practice; mask instead of a 64-bit
+    /// divide when possible (identical result).
+    int by_hash(std::uint64_t h) const {
+      return ptr[(count & (count - 1)) == 0 ? (h & (count - 1))
+                                            : (h % count)];
+    }
   };
 
   /// Candidate egress ports at `node` toward `dst_host` (equal-cost set).
@@ -112,11 +119,27 @@ class Topology {
   /// Hop distance from `node` to `dst_host` (for multicast tree building).
   int distance(NodeId node, NodeId dst_host) const;
 
+  /// BFS from `root` with unique parents (first discovery wins): entry n is
+  /// the port at n toward the root, -1 for the root and for nodes the walk
+  /// never reached. `rail` >= 0 confines the walk to that rail plane's
+  /// switches (hosts straddle all rails and always qualify).
+  std::vector<int> bfs_parent_ports(NodeId root, int rail = -1) const;
+  /// Multicast tree over `members`, inside `rail`'s plane (-1 = any plane):
+  /// rooted at the qualifying node minimizing the worst member distance
+  /// (switches preferred), BFS with unique parents, then pruned to the
+  /// members' paths to the root. Entry n lists n's tree ports; unique
+  /// parents keep the flooded subgraph acyclic.
+  std::vector<std::vector<int>> mcast_tree_ports(
+      const std::vector<NodeId>& members, int rail) const;
+
  private:
   static constexpr std::size_t kNoHost =
       std::numeric_limits<std::size_t>::max();
 
   NodeId add_node(NodeKind kind);
+  bool on_rail(NodeId n, int rail) const {
+    return rail < 0 || is_host(n) || rail_of(n) == rail;
+  }
 
   std::vector<NodeKind> kinds_;
   std::vector<NodeId> hosts_;
@@ -134,6 +157,19 @@ class Topology {
   std::vector<int> hops_flat_;
   std::vector<std::uint32_t> hops_off_;
 };
+
+/// Deterministic ECMP flow hash: mixes flow id, node and destination so
+/// distinct flows spread while one flow stays on one path (in-order
+/// delivery). Select with HopSet::by_hash.
+inline std::uint64_t ecmp_hash(std::uint64_t flow, NodeId node,
+                               NodeId dst_host) {
+  std::uint64_t h = flow * 0x9e3779b97f4a7c15ULL;
+  h ^= (static_cast<std::uint64_t>(node) << 32) ^
+       static_cast<std::uint64_t>(dst_host);
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 29;
+  return h;
+}
 
 /// Two hosts connected back to back (the paper's DPA testbed).
 Topology make_back_to_back(LinkParams params);

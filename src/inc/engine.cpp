@@ -1,7 +1,6 @@
 #include "src/inc/engine.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "src/common/check.hpp"
 
@@ -37,25 +36,8 @@ const Engine::Tree& Engine::tree_for(Session& s, fabric::NodeId owner) {
 
   const fabric::Topology& topo = fabric_.topology();
   Tree tree;
-  tree.parent_port.assign(topo.num_nodes(), -1);
-
   // BFS from the owner: parent_port[n] points from n toward the owner.
-  std::vector<bool> visited(topo.num_nodes(), false);
-  std::deque<fabric::NodeId> frontier;
-  visited[static_cast<size_t>(owner)] = true;
-  frontier.push_back(owner);
-  while (!frontier.empty()) {
-    const fabric::NodeId cur = frontier.front();
-    frontier.pop_front();
-    const auto& ports = topo.ports(cur);
-    for (std::size_t pi = 0; pi < ports.size(); ++pi) {
-      const fabric::NodeId peer = ports[pi].peer;
-      if (visited[static_cast<size_t>(peer)]) continue;
-      visited[static_cast<size_t>(peer)] = true;
-      tree.parent_port[static_cast<size_t>(peer)] = ports[pi].peer_port;
-      frontier.push_back(peer);
-    }
-  }
+  tree.parent_port = topo.bfs_parent_ports(owner);
 
   // Expected contributions per switch: distinct child edges on members'
   // paths to the owner. Each child edge yields exactly one packet — either
@@ -63,7 +45,7 @@ const Engine::Tree& Engine::tree_for(Session& s, fabric::NodeId owner) {
   std::unordered_map<fabric::NodeId, std::vector<fabric::NodeId>> child_from;
   for (const fabric::NodeId m : s.config.hosts) {
     if (m == owner) continue;
-    MCCL_CHECK_MSG(visited[static_cast<size_t>(m)],
+    MCCL_CHECK_MSG(tree.parent_port[static_cast<size_t>(m)] >= 0,
                    "INC member unreachable from owner");
     fabric::NodeId cur = m;
     while (cur != owner) {

@@ -24,9 +24,6 @@ struct TelemetryConfig {
   /// The engine emits one dispatch-window span + pending-queue counter
   /// sample every `engine_sample` dispatched events when tracing.
   std::uint64_t engine_sample = 8192;
-  /// Reservoir capacity for registry histograms (quantile accuracy vs
-  /// memory; exact below this many samples).
-  std::size_t histogram_reservoir = 256;
 };
 
 /// Trace pid used for cluster-global (non-rank) rows: the engine track.
@@ -36,7 +33,6 @@ class Telemetry {
  public:
   explicit Telemetry(TelemetryConfig cfg = {})
       : config(cfg),
-        metrics(MetricsRegistry::Options{cfg.histogram_reservoir}),
         tracer(Tracer::Options{cfg.trace_max_events}),
         recorder(cfg.recorder_capacity == 0 ? 1 : cfg.recorder_capacity) {
     tracer.enable(cfg.trace);

@@ -180,5 +180,19 @@ TEST(McastBroadcast, SequentialBroadcastsReuseInfrastructure) {
   }
 }
 
+TEST(McastBroadcast, FastPathTagsRecycleAfter255Ops) {
+  // The fast-path immediate names its op in 8 tag bits (0 is never used),
+  // so op 256 on one communicator reuses op 1's tag: the tag must move to
+  // the newest op and every broadcast must still deliver.
+  ClusterConfig kcfg;
+  kcfg.nic.carry_payload = true;
+  World w(4, {}, kcfg);
+  for (std::size_t i = 0; i < 300; ++i) {
+    const OpResult res = w.comm->broadcast(i % 4, 4 * KiB, BcastAlgo::kMcast);
+    ASSERT_EQ(res.status, OpStatus::kOk) << "op " << i;
+    ASSERT_TRUE(res.data_verified) << "op " << i;
+  }
+}
+
 }  // namespace
 }  // namespace mccl::coll
