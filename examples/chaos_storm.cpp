@@ -39,10 +39,16 @@
 // activity, adaptive mode must deweight the trunk and re-pin subgroups,
 // with every adapt metric cross-checked against the OpResult/Communicator
 // counters (the deeper A/B p99 contract lives in example_adapt_storm).
+//
+// Validate builds also print one dispatch_hash line per case (the engine's
+// digest of every dispatched event); two runs of the binary must print the
+// same lines. Crashed hosts here exercise the NIC's TX-queue discard and
+// DMA-completion suppression, so the diff pins those paths too.
 #include <cstdio>
 #include <vector>
 
 #include "src/coll/communicator.hpp"
+#include "src/debug/validate.hpp"
 
 using namespace mccl;
 
@@ -116,6 +122,16 @@ std::vector<Scenario> scenarios() {
   return out;
 }
 
+void print_dispatch_hash(coll::Cluster& cluster, const char* scenario,
+                         const char* transport, const char* mode) {
+  if (!debug::enabled()) return;
+  std::printf("dispatch_hash: scenario=%s trans=%s mode=%s %016llx "
+              "(%llu events)\n",
+              scenario, transport, mode,
+              static_cast<unsigned long long>(cluster.engine().stream_hash()),
+              static_cast<unsigned long long>(cluster.engine().dispatched()));
+}
+
 int run_case(const Scenario& sc, coll::Transport transport, bool recovery) {
   coll::ClusterConfig kcfg;
   kcfg.fabric.faults = sc.faults;
@@ -153,6 +169,9 @@ int run_case(const Scenario& sc, coll::Transport transport, bool recovery) {
               res.watchdog_fired ? "FIRED" : "-",
               res.data_verified ? "yes" : "NO", coll::to_string(res.status),
               res.missing_blocks.size());
+  print_dispatch_hash(cluster, sc.name,
+                      transport == coll::Transport::kUd ? "ud" : "uc-mcast",
+                      recovery ? "on" : "off");
 
   // Contract: recovery on => verified; recovery off on a lossy scenario =>
   // structured watchdog failure (and in both cases: no hang — reaching this
@@ -272,6 +291,8 @@ int run_rail_case(bool adaptive) {
                   metric("coll.adapt.subgroup_repins")),
               static_cast<unsigned long long>(
                   metric("fabric.ecmp_reweights")));
+  print_dispatch_hash(cluster, "rail_degrade", "uc-mcast",
+                      adaptive ? "adaptive" : "static");
 
   // One story across all three planes: registry vs OpResult vs Communicator.
   if (metric("coll.adapt.slow_reroots") != sum_reroots ||

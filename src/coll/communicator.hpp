@@ -283,6 +283,16 @@ class Endpoint {
 // OpBase: a collective instance spanning all ranks
 // ---------------------------------------------------------------------------
 
+/// ceil(log2 n): the round count of a dissemination barrier over n ranks.
+inline std::size_t ceil_log2(std::size_t n) {
+  std::size_t k = 0, v = 1;
+  while (v < n) {
+    v *= 2;
+    ++k;
+  }
+  return k;
+}
+
 class OpBase {
  public:
   OpBase(Communicator& comm, std::string name);

@@ -19,15 +19,6 @@ constexpr std::size_t kFetchRetryCap = 3;
 /// structured error instead of hanging the simulation (e.g. a partitioned
 /// fabric with no surviving path).
 constexpr double kWatchdogMultiplier = 50.0;
-
-std::size_t ceil_log2(std::size_t n) {
-  std::size_t k = 0, v = 1;
-  while (v < n) {
-    v *= 2;
-    ++k;
-  }
-  return k;
-}
 }  // namespace
 
 McastCollective::McastCollective(Communicator& comm, std::string name,
@@ -45,8 +36,7 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
   MCCL_CHECK(P >= 2);
   MCCL_CHECK(!p_.roots.empty());
   if (comm_.config().transport == Transport::kUd) {
-    MCCL_CHECK_MSG(comm_.config().chunk_bytes <=
-                       comm_.cluster().config().nic.mtu,
+    MCCL_CHECK_MSG(comm_.config().chunk_bytes <= rdma::kMtu,
                    "UD chunks must fit in the MTU");
   }
   MCCL_CHECK_MSG(map_.total_chunks() < (1u << kChunkBits),
@@ -337,11 +327,7 @@ void McastCollective::on_chunk(std::size_t r, std::uint32_t chunk,
 
   if (comm_.config().transport == Transport::kUd) {
     // Staging -> user buffer copy through the NIC DMA engine; the staging
-    // slot is reposted only once its bytes have drained. Capture audit:
-    // 32 bytes here; the NIC's completion wrapper (this + src/dst/len +
-    // the owned callback) lands exactly on the engine's 64-byte inline
-    // budget — see the kInlineBytes comment in sim/callback.hpp before
-    // adding captures.
+    // slot is reposted only once its bytes have drained.
     Endpoint& ep = comm_.ep(r);
     const std::uint64_t slot = cqe.wr_id;
     const std::uint64_t dst = s.recvbuf + map_.offset_of(chunk);

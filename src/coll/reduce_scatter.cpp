@@ -6,15 +6,6 @@
 namespace mccl::coll {
 
 namespace {
-std::size_t ceil_log2(std::size_t n) {
-  std::size_t k = 0, v = 1;
-  while (v < n) {
-    v *= 2;
-    ++k;
-  }
-  return k;
-}
-
 void fill_rs_block(rdma::HostMemory& mem, std::uint64_t addr,
                    std::uint64_t bytes, std::size_t origin,
                    std::size_t block) {

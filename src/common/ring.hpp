@@ -2,13 +2,17 @@
 //
 // The simulator's hottest queues — the event engine's zero-delay FIFO and
 // monotone lanes, the RDMA receive queue, the RC transmit queue and inflight
-// window — are all FIFOs that are pushed and popped millions of times per
-// run. std::deque pays block-map indirection and (on libstdc++) a heap
-// allocation per 512 bytes of elements; this ring is a single contiguous
-// power-of-two buffer with mask indexing, so push/pop are a handful of
-// instructions and iteration is cache-linear. Capacity doubles on overflow
-// (amortized O(1)); elements are moved, never copied, so refcounted payloads
-// (PacketRef) don't churn their counts on growth.
+// window, the NIC TX and DMA-completion queues, the CQs, worker task queues
+// and switch virtual lanes — are all FIFOs that are pushed and popped
+// millions of times per run. std::deque pays block-map indirection and (on
+// libstdc++) a heap allocation per 512 bytes of elements; this ring is a
+// single contiguous power-of-two buffer with mask indexing, so push/pop are
+// a handful of instructions and iteration is cache-linear. Capacity doubles
+// on overflow (amortized O(1)); elements are moved, never copied, so
+// refcounted payloads (PacketRef) don't churn their counts on growth. The
+// first push allocates only kFirstCapacity cells: most of these queues (one
+// per CQ, per TX queue, per switch lane) never hold more than a handful of
+// entries.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +37,12 @@ class Ring {
   /// soon as the returned temporary dies.
   T pop() { return std::move(buf_[head_++ & (buf_.size() - 1)]); }
 
+  /// Pops every element (each popped value is destroyed at once, so owned
+  /// resources are released now, not when the cell is next overwritten).
+  void clear() {
+    while (!empty()) pop();
+  }
+
   T& front() { return buf_[head_ & (buf_.size() - 1)]; }
   const T& front() const { return buf_[head_ & (buf_.size() - 1)]; }
   const T& back() const { return buf_[(tail_ - 1) & (buf_.size() - 1)]; }
@@ -46,8 +56,10 @@ class Ring {
   }
 
  private:
+  static constexpr std::size_t kFirstCapacity = 4;
+
   void grow() {
-    const std::size_t n = buf_.empty() ? 64 : buf_.size() * 2;
+    const std::size_t n = buf_.empty() ? kFirstCapacity : buf_.size() * 2;
     std::vector<T> next(n);
     const std::size_t count = tail_ - head_;
     for (std::size_t i = 0; i < count; ++i)

@@ -81,28 +81,23 @@ void Worker::flush_trace() {
     tracer_->complete(trace_track_, "busy", span_start_, span_end_, "exec");
 }
 
-void Worker::subscribe(rdma::Cq& cq, CqeHandler handler, CqeCostFn cost_of) {
-  subs_[&cq] = Subscription{std::move(handler), std::move(cost_of)};
-  cq.set_consumer(this);
-  // Drain anything already queued.
-  while (!cq.empty()) on_cqe(cq);
-}
-
 void Worker::subscribe(rdma::Cq& cq, CqeHandler handler, Cost per_cqe) {
-  subscribe(cq, std::move(handler),
-            [per_cqe](const rdma::Cqe&) { return per_cqe; });
+  bindings_.push_back(
+      std::make_unique<CqBinding>(*this, std::move(handler), per_cqe));
+  CqBinding& binding = *bindings_.back();
+  cq.set_consumer(&binding);
+  // Drain anything already queued.
+  while (!cq.empty()) on_cqe(cq, binding);
 }
 
-void Worker::on_cqe(rdma::Cq& cq) {
-  if (cq.empty()) return;
-  auto it = subs_.find(&cq);
-  MCCL_CHECK_MSG(it != subs_.end(), "CQE on unsubscribed CQ");
+// mccl-lint: begin-hot exec-worker
+void Worker::on_cqe(rdma::Cq& cq, CqBinding& binding) {
   const rdma::Cqe cqe = cq.pop();
   ++cqes_seen_;
-  Subscription& sub = it->second;
-  // sub aliases a node-stable subs_ slot that outlives every posted task.
-  // mccl-lint: allow(lambda-escape) node-stable slot owned by this Worker
-  post(sub.cost_of(cqe), [&sub, cqe] { sub.handler(cqe); });
+  // binding is a heap-stable cell owned by this Worker; it outlives every
+  // posted task.
+  // mccl-lint: allow(lambda-escape) heap-stable binding owned by this Worker
+  post(binding.cost, [&binding, cqe] { binding.handler(cqe); });
 }
 
 void Worker::pump() {
@@ -145,12 +140,12 @@ void Worker::pump() {
 }
 
 void Worker::run_front() {
-  Task task = std::move(queue_.front());
-  queue_.pop_front();
+  Task task = queue_.pop();
   task.fn();
   running_ = false;
   pump();
 }
+// mccl-lint: end-hot
 
 double Worker::ipc() const {
   if (busy_time_ <= 0) return 0.0;

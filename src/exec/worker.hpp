@@ -16,16 +16,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/check.hpp"
+#include "src/common/ring.hpp"
 #include "src/common/units.hpp"
 #include "src/rdma/cq.hpp"
+#include "src/sim/callback.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/resource.hpp"
 #include "src/telemetry/trace.hpp"
@@ -115,13 +114,15 @@ class Complex {
   std::vector<std::unique_ptr<Worker>> workers_;
 };
 
-class Worker : public rdma::Cq::Consumer {
+class Worker {
  public:
-  using CqeHandler = std::function<void(const rdma::Cqe&)>;
-  using CqeCostFn = std::function<Cost(const rdma::Cqe&)>;
+  using CqeHandler = sim::InlineFn<void(const rdma::Cqe&)>;
 
   Worker(Complex& complex, std::size_t core_index);
   ~Worker();  // flushes any open trace span
+  // Engine events and CQ bindings hold the worker's address.
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
 
   Complex& complex() { return complex_; }
   std::size_t core_index() const { return core_; }
@@ -141,19 +142,16 @@ class Worker : public rdma::Cq::Consumer {
   /// touch the allocator (this path runs once per CQE).
   template <typename F>
   void post(Cost cost, F&& fn) {
-    queue_.push_back(Task{cost, sim::InlineCallback(std::forward<F>(fn))});
+    queue_.push(Task{cost, sim::InlineCallback(std::forward<F>(fn))});
     pump();
   }
 
   /// Subscribes to a CQ: every CQE is drained into this worker's task queue
-  /// with `cost_of(cqe)` charged before `handler(cqe)` runs. A worker may
-  /// poll several CQs (the paper maps one worker to one or more multicast
-  /// subgroups); each CQ has exactly one consumer.
-  void subscribe(rdma::Cq& cq, CqeHandler handler, CqeCostFn cost_of);
+  /// with `per_cqe` charged before `handler(cqe)` runs. A worker may poll
+  /// several CQs (the paper maps one worker to one or more multicast
+  /// subgroups); each CQ has exactly one consumer, so subscribing a CQ that
+  /// already has one aborts.
   void subscribe(rdma::Cq& cq, CqeHandler handler, Cost per_cqe);
-
-  // rdma::Cq::Consumer
-  void on_cqe(rdma::Cq& cq) override;
 
   // --- statistics -----------------------------------------------------------
   std::uint64_t tasks_done() const { return tasks_done_; }
@@ -171,17 +169,29 @@ class Worker : public rdma::Cq::Consumer {
     sim::InlineCallback fn;
   };
 
-  struct Subscription {
+  /// The consumer bound to one subscribed CQ. It carries the CQ's handler
+  /// and fixed per-CQE cost, so a CQE reaches its handler without a lookup.
+  struct CqBinding final : rdma::Cq::Consumer {
+    CqBinding(Worker& w, CqeHandler h, Cost c)
+        : worker(w), handler(std::move(h)), cost(c) {}
+    CqBinding(CqBinding&&) = delete;  // the CQ holds its address
+    void on_cqe(rdma::Cq& cq) override { worker.on_cqe(cq, *this); }
+
+    Worker& worker;
     CqeHandler handler;
-    CqeCostFn cost_of;
+    Cost cost;
   };
 
+  void on_cqe(rdma::Cq& cq, CqBinding& binding);
   void pump();
   void run_front();
 
   Complex& complex_;
   std::size_t core_;
-  std::deque<Task> queue_;
+  // mccl-lint: begin-hot exec-worker
+  Ring<Task> queue_;
+  std::vector<std::unique_ptr<CqBinding>> bindings_;  // heap-stable
+  // mccl-lint: end-hot
   bool running_ = false;
   Time thread_free_ = 0;
   telemetry::Tracer* tracer_ = nullptr;
@@ -189,7 +199,6 @@ class Worker : public rdma::Cq::Consumer {
   bool span_open_ = false;
   Time span_start_ = 0;
   Time span_end_ = 0;
-  std::unordered_map<rdma::Cq*, Subscription> subs_;
 
   std::uint64_t tasks_done_ = 0;
   std::uint64_t cqes_seen_ = 0;

@@ -95,7 +95,7 @@ void Fabric::send_out(NodeId node, int port_idx, const PacketPtr& packet) {
   if (config_.virtual_lanes && !topo_.is_host(node)) {
     LaneState& lane = lanes_[port.dir_index];
     MCCL_CHECK(packet->vl < kNumLanes);
-    lane.queues[packet->vl].push_back(packet);
+    lane.queues[packet->vl].push(packet);
     lane.queued_bytes += packet->wire_size;
     pump_lanes(node, port_idx, port);
     return;
@@ -110,8 +110,7 @@ void Fabric::pump_lanes(NodeId node, int port_idx, const Port& port) {
   PacketPtr next;
   for (auto& q : lane.queues) {  // strict priority: lane 0 first
     if (!q.empty()) {
-      next = q.front();
-      q.pop_front();
+      next = q.pop();
       break;
     }
   }
@@ -230,7 +229,6 @@ void Fabric::put_on_wire(NodeId node, int /*port_idx*/, const Port& port,
     arrive(peer, peer_port, packet);
   });
 }
-// mccl-lint: end-hot
 
 void Fabric::arrive(NodeId node, int in_port, const PacketPtr& packet) {
   // Switch died or host crashed while the packet flew: in-flight traffic
@@ -255,6 +253,7 @@ void Fabric::arrive(NodeId node, int in_port, const PacketPtr& packet) {
     forward(node, in_port, packet);
   }
 }
+// mccl-lint: end-hot
 
 void Fabric::forward(NodeId sw, int in_port, const PacketPtr& packet) {
   if (packet->th.op == interceptor_op_ && interceptor_ &&

@@ -14,15 +14,16 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
+#include "src/common/ring.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/units.hpp"
 #include "src/fabric/faults.hpp"
 #include "src/fabric/packet.hpp"
 #include "src/fabric/topology.hpp"
+#include "src/sim/callback.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/resource.hpp"
 
@@ -79,7 +80,7 @@ class Fabric {
     std::uint64_t black_holed = 0;  // no usable path (fault plane)
   };
 
-  using DeliveryFn = std::function<void(const PacketPtr&)>;
+  using DeliveryFn = sim::InlineFn<void(const PacketPtr&)>;
   /// Returns true to drop the packet on link (from -> to).
   using DropFilter =
       std::function<bool(NodeId from, NodeId to, const Packet&)>;
@@ -237,11 +238,13 @@ class Fabric {
 
   /// Per-direction virtual-lane queues (switch egress only; host egress is
   /// paced by the NIC arbiter, one packet at a time).
+  // mccl-lint: begin-hot fabric-lanes
   struct LaneState {
-    std::array<std::deque<PacketPtr>, kNumLanes> queues;
+    std::array<Ring<PacketPtr>, kNumLanes> queues;
     std::uint64_t queued_bytes = 0;  // wire bytes across all lanes
     bool busy = false;
   };
+  // mccl-lint: end-hot
 
   // The per-hop chain resolves the egress Port once in send_out and threads
   // it through (each topo_.ports(node)[port] lookup is two dependent loads).
@@ -268,11 +271,13 @@ class Fabric {
   Rng rng_;
   FaultPlane faults_;
   telemetry::Telemetry* telem_ = nullptr;
+  // mccl-lint: begin-hot fabric-delivery
   std::vector<DeliveryFn> delivery_;        // per host node id
   std::vector<sim::Resource> serializers_;  // per link direction
   std::vector<Time> peak_backlog_;          // peak-hold since last read
   std::vector<DirCounters> counters_;       // per link direction
   std::vector<LaneState> lanes_;            // per link direction
+  // mccl-lint: end-hot
   std::vector<McastGroup> groups_;
   DropFilter drop_filter_;
   SwitchInterceptor interceptor_;

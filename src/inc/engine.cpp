@@ -166,7 +166,7 @@ bool Engine::intercept(fabric::NodeId sw, int /*in_port*/,
   const std::uint32_t chunk = packet->th.imm;
   const int out_port = tree.parent_port[static_cast<size_t>(sw)];
   fabric_.engine().schedule(
-      s.config.switch_compute_latency,
+      kSwitchComputeLatency,
       [this, id, sw, owner, chunk, out_port, done = std::move(done)] {
         auto merged = make_merged(id, sw, owner, chunk, done);
         fabric_.send_from_switch(sw, out_port, merged);

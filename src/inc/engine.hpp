@@ -29,9 +29,11 @@ namespace mccl::inc {
 
 using SessionId = std::uint16_t;
 
+/// Switch ALU latency paid once per merged chunk.
+inline constexpr Time kSwitchComputeLatency = 200 * kNanosecond;
+
 struct SessionConfig {
   std::vector<fabric::NodeId> hosts;   // members (contributors and owners)
-  Time switch_compute_latency = 200 * kNanosecond;  // per merged chunk
 };
 
 class Engine {

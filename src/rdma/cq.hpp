@@ -1,16 +1,16 @@
 // Completion queues.
 //
-// The NIC pushes CQEs; a consumer (a progress-engine worker from src/exec,
-// or the immediate dispatcher used by transport unit tests) drains them.
+// The NIC pushes CQEs; the CQ's one consumer (a progress-engine worker's
+// binding from src/exec, which carries the CQ's handler and per-CQE cost)
+// drains them. Transport unit tests leave the CQ unbound and pop directly.
 // Matching real verbs, the CQE carries the immediate data — the Broadcast
 // protocol stores the chunk PSN there (paper Section III-A).
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 
 #include "src/common/check.hpp"
+#include "src/common/ring.hpp"
 #include "src/debug/validate.hpp"
 #include "src/fabric/packet.hpp"
 
@@ -43,7 +43,12 @@ class Cq {
     virtual void on_cqe(Cq& cq) = 0;
   };
 
-  void set_consumer(Consumer* consumer) { consumer_ = consumer; }
+  /// Binds the CQ's only consumer; a second binding aborts (two consumers
+  /// would race for the same entries).
+  void set_consumer(Consumer* consumer) {
+    MCCL_CHECK_MSG(consumer_ == nullptr, "CQ already has a consumer");
+    consumer_ = consumer;
+  }
 
   void push(const Cqe& cqe) {
     if (gate_closed_) {
@@ -54,7 +59,7 @@ class Cq {
                          static_cast<unsigned>(cqe.opcode), cqe.qpn);
       return;
     }
-    queue_.push_back(cqe);
+    queue_.push(cqe);
     ++total_pushed_;
     if (consumer_) consumer_->on_cqe(*this);
   }
@@ -72,14 +77,14 @@ class Cq {
 
   Cqe pop() {
     MCCL_CHECK(!queue_.empty());
-    Cqe cqe = queue_.front();
-    queue_.pop_front();
-    return cqe;
+    return queue_.pop();
   }
 
  private:
-  std::deque<Cqe> queue_;
+  // mccl-lint: begin-hot cq-queue
+  Ring<Cqe> queue_;
   Consumer* consumer_ = nullptr;
+  // mccl-lint: end-hot
   std::uint64_t total_pushed_ = 0;
   bool gate_closed_ = false;
 };

@@ -67,6 +67,8 @@ void Nic::set_crashed(bool crashed) {
   crashed_ = crashed;
   if (crashed_) {
     // Discard everything queued for egress: a dead host transmits nothing.
+    // Posted DMA copies stay queued; their completions are dropped when
+    // they fire (see finish_copy).
     for (auto& q : tx_queues_) q.clear();
     std::fill(tx_ready_.begin(), tx_ready_.end(), 0);
   }
@@ -107,44 +109,14 @@ void Nic::transmit(std::uint32_t queue, const fabric::PacketPtr& packet,
     // queue turns ready — cheap (once per busy period, not per packet) and
     // picks up set_qos calls made after the QP's first send. The INC
     // transport has no QP; its aggregation traffic arbitrates like control.
-    if (qos_enabled_) {
-      if (queue == kIncTxQueue) {
-        qos_arbiter_.set_queue(slot, 0, 1);
-      } else if (Qp* qp = find_qp(queue)) {
-        qos_arbiter_.set_queue(slot, qp->qos_band(), qp->qos_weight());
-      }
+    if (queue == kIncTxQueue) {
+      qos_arbiter_.set_queue(slot, 0, 1);
+    } else if (Qp* qp = find_qp(queue)) {
+      qos_arbiter_.set_queue(slot, qp->qos_band(), qp->qos_weight());
     }
   }
-  q.push_back(TxItem{packet, std::move(done)});
+  q.push(TxItem{packet, std::move(done)});
   pump_tx();
-}
-
-std::size_t Nic::next_ready_tx(std::size_t start) const {
-  // First slot with a non-empty queue at or after `start`, wrapping — the
-  // exact pick a linear first-non-empty probe from `start` would make.
-  // Bits at or above tx_queues_.size() are never set.
-  const std::size_t n = tx_queues_.size();
-  if (n == 0) return kNoTxQueue;
-  if (start >= n) start -= n;  // tx_rr_ is at most n
-  std::size_t w = start >> 6;
-  std::uint64_t bits = (tx_ready_[w] >> (start & 63)) << (start & 63);
-  for (;;) {
-    if (bits != 0)
-      return (w << 6) +
-             static_cast<std::size_t>(__builtin_ctzll(bits));
-    if (++w == tx_ready_.size()) break;
-    bits = tx_ready_[w];
-  }
-  const std::size_t stop = start >> 6;
-  for (w = 0; w <= stop; ++w) {
-    bits = tx_ready_[w];
-    if (w == stop)
-      bits &= (std::uint64_t{1} << (start & 63)) - 1;  // below `start` only
-    if (bits != 0)
-      return (w << 6) +
-             static_cast<std::size_t>(__builtin_ctzll(bits));
-  }
-  return kNoTxQueue;
 }
 
 // mccl-lint: begin-hot nic-egress
@@ -152,24 +124,14 @@ void Nic::pump_tx() {
   static_assert(sched::QosArbiter::kNone == kNoTxQueue,
                 "arbiter sentinel must match the NIC's");
   if (tx_active_) return;
-  // Round-robin service across non-empty TX queues; with a QoS policy
-  // armed, the arbiter picks by band/weight instead (and maintains the
-  // cursor itself). sched::QosArbiter::kNone == kNoTxQueue.
-  std::size_t picked;
-  if (qos_enabled_) {
-    picked = qos_arbiter_.pick(tx_ready_.data(), tx_ready_.size(),
-                               tx_queues_.size(), tx_rr_);
-  } else {
-    picked = next_ready_tx(tx_rr_);
-    if (picked != kNoTxQueue) tx_rr_ = picked + 1;
-  }
+  const std::size_t picked = qos_arbiter_.pick(
+      tx_ready_.data(), tx_ready_.size(), tx_queues_.size(), tx_rr_);
   if (picked == kNoTxQueue) return;
   auto& queue = tx_queues_[picked];
-  TxItem item = std::move(queue.front());
-  queue.pop_front();
+  TxItem item = queue.pop();
   if (queue.empty())
     tx_ready_[picked >> 6] &= ~(std::uint64_t{1} << (picked & 63));
-  if (qos_enabled_) qos_arbiter_.on_dequeue(picked, item.packet->wire_size);
+  qos_arbiter_.on_dequeue(picked, item.packet->wire_size);
   tx_active_ = true;
   const Time departure = fabric_.inject(item.packet);
   if (item.done) item.done(departure);
@@ -178,23 +140,27 @@ void Nic::pump_tx() {
     pump_tx();
   });
 }
-// mccl-lint: end-hot
 
 void Nic::post_local_copy(std::uint64_t src, std::uint64_t dst,
-                          std::uint64_t len, std::function<void()> done) {
+                          std::uint64_t len, CopyDone done) {
   ++dma_ops_;
   dma_bytes_ += len;
-  const Time xfer = serialization_time(len, config_.dma_gbps);
+  const Time xfer = serialization_time(len, kDmaGbps);
   const Time queued_done = dma_.acquire(engine_.now(), xfer);
-  engine_.schedule_at(queued_done + config_.dma_latency,
-                      [this, src, dst, len, done = std::move(done)] {
-                        if (crashed_) return;  // completion dies with the host
-                        if (config_.carry_payload)
-                          memory_.write(dst, std::as_const(memory_).at(src),
-                                        len);
-                        if (done) done();
-                      });
+  // FIFO engine + fixed latency: completion times never decrease across
+  // posts, so the k-th completion event to fire is the k-th copy posted.
+  dma_copies_.push(DmaCopy{src, dst, len, std::move(done)});
+  engine_.schedule_at(queued_done + kDmaLatency, [this] { finish_copy(); });
 }
+
+void Nic::finish_copy() {
+  DmaCopy copy = dma_copies_.pop();
+  if (crashed_) return;  // the completion dies with the host
+  if (config_.carry_payload)
+    memory_.write(copy.dst, std::as_const(memory_).at(copy.src), copy.len);
+  if (copy.done) copy.done();
+}
+// mccl-lint: end-hot
 
 Qp* Nic::find_qp(std::uint32_t qpn) {
   if (qpn >= qps_.size()) return nullptr;

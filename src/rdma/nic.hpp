@@ -4,18 +4,17 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/ring.hpp"
 #include "src/common/units.hpp"
 #include "src/fabric/fabric.hpp"
 #include "src/rdma/cq.hpp"
 #include "src/rdma/memory.hpp"
 #include "src/rdma/qp.hpp"
 #include "src/sched/qos_arbiter.hpp"
+#include "src/sim/callback.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/resource.hpp"
 
@@ -25,27 +24,34 @@ class Telemetry;
 
 namespace mccl::rdma {
 
+/// Path MTU: the largest payload of one data packet.
+inline constexpr std::uint32_t kMtu = 4096;
+/// Extra wire bytes per data packet (headers are not modeled).
+inline constexpr std::uint32_t kWireOverhead = 0;
+/// Wire size of an ACK / NAK / read request.
+inline constexpr std::uint32_t kControlWireSize = 64;
+/// RC receivers coalesce ACKs: one per this many data packets (and one at
+/// every message's last segment).
+inline constexpr std::uint32_t kRcAckInterval = 16;
+/// Minimum gap between two go-back-N bursts of one RC QP.
+inline constexpr Time kRcNakBackoff = 5 * kMicrosecond;
+/// Consecutive RTO-driven retransmission rounds without cumulative-ACK
+/// progress before an RC QP gives up and goes silent (a real HCA would raise
+/// IBV_WC_RETRY_EXC_ERR). Bounds the event load of talking to a crashed
+/// peer: without a limit, go-back-N retransmits into the void forever.
+inline constexpr std::uint32_t kRcRetryLimit = 64;
+/// On-NIC DMA engine (staging copies / loopback writes) bandwidth.
+inline constexpr double kDmaGbps = 400.0;
+/// Fixed DMA completion latency: the PCIe round trip (paper: 1-3 us).
+inline constexpr Time kDmaLatency = 2 * kMicrosecond;
+
 struct NicConfig {
-  std::uint32_t mtu = 4096;
-  std::uint32_t wire_overhead = 0;      // extra wire bytes per data packet
-  std::uint32_t control_wire_size = 64; // ACK / read-request wire size
   std::uint32_t max_recv_queue = 8192;  // BlueField-3 receive queue bound
   bool carry_payload = true;  // false: timing-only packets (large benches)
 
   // RC reliability.
   std::uint32_t rc_window = 1024;       // max unacked packets in flight
-  std::uint32_t rc_ack_interval = 16;   // coalesced ACK frequency
   Time rc_rto = 100 * kMicrosecond;     // retransmission timeout
-  Time rc_nak_backoff = 5 * kMicrosecond;  // min gap between go-back-N bursts
-  // Consecutive RTO-driven retransmission rounds without cumulative-ACK
-  // progress before the QP gives up and goes silent (a real HCA would raise
-  // IBV_WC_RETRY_EXC_ERR). Bounds the event load of talking to a crashed
-  // peer: without a limit, go-back-N retransmits into the void forever.
-  std::uint32_t rc_retry_limit = 64;
-
-  // On-NIC DMA engine (staging copies / loopback writes).
-  double dma_gbps = 400.0;
-  Time dma_latency = 2 * kMicrosecond;  // PCIe round trip (paper: 1-3 us)
 
   std::uint64_t memory_capacity = std::uint64_t{1} << 31;  // 2 GiB arena
 };
@@ -95,39 +101,40 @@ class Nic {
   static constexpr std::uint32_t kIncTxQueue = 0xffffffffu;
 
   /// Queues a packet for transmission. The NIC egress arbiter serializes
-  /// the host link and services TX queues round-robin (the per-QP WQE
-  /// arbitration of a real HCA) so one bulk flow cannot head-of-line-block
-  /// other QPs — e.g. a Reduce-Scatter burst must not starve concurrent
-  /// Allgather multicast or control tokens. With a non-FIFO QoS policy the
-  /// pick is delegated to the sched::QosArbiter instead (strict priority or
-  /// weighted-fair over the per-QP bands set via Qp::set_qos).
+  /// the host link and asks the sched::QosArbiter which TX queue to serve
+  /// next. Under the default kFifo policy that is round-robin (the per-QP
+  /// WQE arbitration of a real HCA), so one bulk flow cannot
+  /// head-of-line-block other QPs — e.g. a Reduce-Scatter burst must not
+  /// starve concurrent Allgather multicast or control tokens. kStrict and
+  /// kWfq arbitrate by the per-QP bands set via Qp::set_qos.
   void transmit(std::uint32_t queue, const fabric::PacketPtr& packet,
                 TxCallback done = {});
 
-  /// Egress QoS policy. kFifo (the default) keeps the original round-robin
-  /// pick — bit-identical to the pre-QoS NIC; kStrict/kWfq arbitrate by the
-  /// per-QP band/weight attributes. Cluster-scheduler plane; set before
-  /// traffic for reproducible runs.
+  /// Egress QoS policy (kFifo by default). Cluster-scheduler plane; set
+  /// before traffic for reproducible runs.
   void set_qos_policy(sched::QosPolicy policy) {
     qos_arbiter_.set_policy(policy);
-    qos_enabled_ = policy != sched::QosPolicy::kFifo;
   }
   sched::QosPolicy qos_policy() const { return qos_arbiter_.policy(); }
-  const sched::QosArbiter& qos_arbiter() const { return qos_arbiter_; }
+
+  /// Completion callback for post_local_copy (inline up to 64 bytes).
+  using CopyDone = sim::InlineCallback;
 
   /// Asynchronous on-NIC DMA copy between local buffers (staging → user).
-  /// Models non-blocking queuing: posting returns immediately; `done` runs
-  /// after queuing + transfer + PCIe latency.
+  /// Models non-blocking queuing: posting returns immediately; the bytes
+  /// land and `done` runs at max(now, engine free) + len / kDmaGbps +
+  /// kDmaLatency. The engine is FIFO with a fixed latency, so copies
+  /// complete in post order. A copy completing while the host is crashed
+  /// is dropped: neither the bytes nor `done`.
   void post_local_copy(std::uint64_t src, std::uint64_t dst,
-                       std::uint64_t len, std::function<void()> done);
+                       std::uint64_t len, CopyDone done);
 
   Qp* find_qp(std::uint32_t qpn);
 
   /// Handler for in-network-compute result packets arriving at this host
   /// (SHARP-like transport, outside the QP model).
-  void set_inc_handler(std::function<void(const fabric::PacketPtr&)> fn) {
-    inc_handler_ = std::move(fn);
-  }
+  using IncHandler = sim::InlineFn<void(const fabric::PacketPtr&)>;
+  void set_inc_handler(IncHandler fn) { inc_handler_ = std::move(fn); }
 
   std::uint64_t ud_rnr_drops() const;
   std::uint64_t uc_rnr_drops() const;
@@ -158,11 +165,17 @@ class Nic {
     fabric::PacketPtr packet;
     TxCallback done;
   };
+  struct DmaCopy {
+    std::uint64_t src = 0;
+    std::uint64_t dst = 0;
+    std::uint64_t len = 0;
+    CopyDone done;
+  };
 
   void on_packet(const fabric::PacketPtr& packet);
   void pump_tx();
+  void finish_copy();
   std::size_t add_tx_queue();
-  std::size_t next_ready_tx(std::size_t start) const;
 
   static constexpr std::size_t kNoTxQueue = ~std::size_t{0};
 
@@ -179,21 +192,25 @@ class Nic {
   // vector walk, not a hash probe.
   std::vector<std::vector<UdQp*>> ud_mcast_;
   std::vector<std::vector<UcQp*>> uc_mcast_;
-  std::function<void(const fabric::PacketPtr&)> inc_handler_;
   sim::Resource dma_;
   // Egress arbiter state. Queue ids are QPNs (dense small integers) plus
   // the kIncTxQueue sentinel, so the id->slot map is a flat vector, and the
-  // round-robin scan reads a non-empty bitmap (one ctz per word) instead of
-  // probing every queue — with hundreds of QPs per NIC the linear probe was
-  // one of the hottest loops in the simulator.
+  // arbiter scans a non-empty bitmap (one ctz per word) instead of probing
+  // every queue — with hundreds of QPs per NIC the linear probe was one of
+  // the hottest loops in the simulator.
   std::vector<std::int32_t> tx_slot_of_;    // queue id -> slot, -1 = none
   std::size_t inc_tx_slot_ = kNoTxQueue;    // slot for kIncTxQueue
-  std::vector<std::deque<TxItem>> tx_queues_;
+  // mccl-lint: begin-hot nic-queues
+  IncHandler inc_handler_;
+  std::vector<Ring<TxItem>> tx_queues_;
+  // Posted copies in post order (== completion order); each completion
+  // event pops the front.
+  Ring<DmaCopy> dma_copies_;
+  // mccl-lint: end-hot
   std::vector<std::uint64_t> tx_ready_;     // bit per slot: queue non-empty
   std::size_t tx_rr_ = 0;
   bool tx_active_ = false;
   sched::QosArbiter qos_arbiter_;
-  bool qos_enabled_ = false;  // true iff policy != kFifo
   telemetry::Telemetry* telem_ = nullptr;
   bool crashed_ = false;
   bool crc_enabled_ = false;

@@ -106,9 +106,9 @@ fabric::PacketPtr RcQp::make_packet(const TxOp& op, std::uint64_t offset,
   // requests ride the strict-priority control lane.
   if (op.len == 0 || op.kind == OpKind::kReadReq) pkt->vl = fabric::kCtrlLane;
   if (op.kind == OpKind::kReadReq) {
-    pkt->wire_size = nic_.config().control_wire_size;
+    pkt->wire_size = kControlWireSize;
   } else {
-    pkt->wire_size = seg_len + nic_.config().wire_overhead;
+    pkt->wire_size = seg_len + kWireOverhead;
     if (seg_len > 0 && nic_.config().carry_payload) {
       pkt->payload = nic_.memory().snapshot_slice(op.laddr + offset, seg_len);
       if (nic_.crc_enabled()) {
@@ -134,7 +134,6 @@ void RcQp::pump() {
       "rc.window_overflow",
       "qpn %u: inflight ring holds %zu but psn span is [%u, %u)", qpn_,
       inflight_.size(), acked_psn_, next_psn_);
-  const std::uint32_t mtu = nic_.config().mtu;
   while (!txq_.empty() && inflight_.size() < nic_.config().rc_window) {
     TxOp& op = txq_.front();
     bool last;
@@ -145,7 +144,7 @@ void RcQp::pump() {
       op.cursor = op.len;
     } else {
       seg = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(mtu, op.len - op.cursor));
+          std::min<std::uint64_t>(kMtu, op.len - op.cursor));
       last = op.cursor + seg >= op.len;
     }
     fabric::PacketPtr packet = make_packet(op, op.cursor, seg, last);
@@ -185,7 +184,7 @@ void RcQp::on_rto(std::uint64_t generation) {
   rto_armed_ = false;
   if (nic_.crashed()) return;  // a dead host retransmits nothing
   if (inflight_.empty()) return;
-  if (++rto_rounds_ > nic_.config().rc_retry_limit) {
+  if (++rto_rounds_ > kRcRetryLimit) {
     // Retry limit exhausted: the peer is presumed dead. The QP enters a
     // silent error state — no more retransmissions, no more RTOs — so the
     // event queue stays bounded. The collective layer learns about the
@@ -206,7 +205,7 @@ void RcQp::retransmit_from(std::uint32_t psn, Time delay) {
   if (inflight_.empty() || dead_) return;
   const Time now = nic_.engine().now();
   Time when = std::max(now + delay, retrans_backoff_until_);
-  retrans_backoff_until_ = when + nic_.config().rc_nak_backoff;
+  retrans_backoff_until_ = when + kRcNakBackoff;
   MCCL_CHECK(psn >= acked_psn_);
   const std::size_t start = psn - acked_psn_;
   if (start >= inflight_.size()) return;
@@ -263,7 +262,7 @@ void RcQp::send_ack(bool nak) {
   fabric::Packet* pkt = &pref.mut();
   pkt->src_host = nic_.host();
   pkt->dst_host = remote_host_;
-  pkt->wire_size = nic_.config().control_wire_size;
+  pkt->wire_size = kControlWireSize;
   pkt->flow_id = (static_cast<std::uint64_t>(nic_.host()) << 20) | qpn_;
   pkt->vl = fabric::kCtrlLane;
   pkt->th.op = fabric::TransportOp::kRcAck;
@@ -306,7 +305,7 @@ void RcQp::on_packet(const fabric::PacketPtr& packet) {
       if (nic_.engine().now() >= nak_rate_until_) {
         send_ack(/*nak=*/true);
         nak_outstanding_ = true;
-        nak_rate_until_ = nic_.engine().now() + nic_.config().rc_nak_backoff;
+        nak_rate_until_ = nic_.engine().now() + kRcNakBackoff;
       }
       return;
     }
@@ -314,7 +313,7 @@ void RcQp::on_packet(const fabric::PacketPtr& packet) {
     nak_outstanding_ = false;
     process_in_order(packet);
     ++unacked_count_;
-    if (th.last_segment || unacked_count_ >= nic_.config().rc_ack_interval)
+    if (th.last_segment || unacked_count_ >= kRcAckInterval)
       send_ack(/*nak=*/false);
   } else if (th.psn < expected_psn_) {
     // Duplicate from a go-back-N burst: refresh the sender's window.

@@ -1,12 +1,10 @@
 // Per-tenant QoS arbitration for egress queues (cluster scheduler plane).
 //
 // The arbiter is pure selection logic over a ready-bitmap: the NIC keeps
-// its per-QP TX queues and the "which slots are non-empty" bitmap exactly
-// as before, and asks the arbiter which ready slot to serve next. Three
-// policies:
+// its per-QP TX queues and the "which slots are non-empty" bitmap, and asks
+// the arbiter which ready slot to serve next. Three policies:
 //
-//  - kFifo:   cyclic round-robin from the caller's cursor — bit-identical
-//             to the pre-QoS NIC arbiter (the baseline mode).
+//  - kFifo:   cyclic round-robin from the caller's cursor (the default).
 //  - kStrict: lowest priority band wins; round-robin among equals. Control
 //             QPs ride band 0, tenant data bands 1 + qos_class, so a
 //             high-priority tenant's chunks always inject ahead of
@@ -59,14 +57,10 @@ class QosArbiter {
   std::size_t pick(const std::uint64_t* ready, std::size_t words,
                    std::size_t nslots, std::size_t& rr);
 
-  /// Charges the dequeued packet's wire bytes to `slot` (WFQ deficit) and
-  /// bumps the per-band service counter.
+  /// Charges the dequeued packet's wire bytes to `slot` (WFQ deficit).
+  /// Under kFifo and kStrict the deficit is never read; it only goes
+  /// negative, which pick_wfq treats like a fresh slot's zero.
   void on_dequeue(std::size_t slot, std::uint32_t bytes);
-
-  /// Packets served per priority band (telemetry / fairness tests).
-  std::uint64_t dequeues(std::uint8_t band) const {
-    return band < dequeues_.size() ? dequeues_[band] : 0;
-  }
   /// WFQ replenish rounds completed (diagnostic).
   std::uint64_t wfq_rounds() const { return wfq_rounds_; }
 
@@ -91,7 +85,6 @@ class QosArbiter {
 
   QosPolicy policy_ = QosPolicy::kFifo;
   std::vector<Slot> slots_;
-  std::vector<std::uint64_t> dequeues_;  // per band
   std::uint64_t wfq_rounds_ = 0;
 };
 

@@ -10,8 +10,9 @@
 //
 // `InlineFn<void(Args...)>` generalizes over the call signature so that the
 // same machinery serves the engine's event callbacks (`InlineCallback`,
-// void()), the NIC's wire-departure callbacks (void(Time)), and worker task
-// queues.
+// void(), also DMA copy completions and worker tasks), the NIC's
+// wire-departure callbacks (void(Time)), CQ handlers (void(const Cqe&)) and
+// the fabric's per-host delivery (void(const PacketPtr&)).
 #pragma once
 
 #include <cstddef>
@@ -27,9 +28,12 @@ class InlineFn;
 template <typename... Args>
 class InlineFn<void(Args...)> {
  public:
-  /// Inline capture budget. Chosen one cache line wide so that the fattest
-  /// datapath lambdas (e.g. a NIC local-copy completion carrying an owned
-  /// `std::function` callback, ~56 bytes) still stay off the heap.
+  /// Inline capture budget: one cache line. The fattest per-event datapath
+  /// capture is a worker's CQE task (binding pointer + a copied Cqe, 40
+  /// bytes); the collective-level callbacks nested in it (DMA copy
+  /// completions, CQ handlers) are small because their queues hold the
+  /// bulky state: the NIC keeps each copy's (src, dst, len) in its DMA
+  /// ring, and completion events capture only `this`.
   static constexpr std::size_t kInlineBytes = 64;
 
   InlineFn() = default;

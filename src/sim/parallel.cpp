@@ -5,6 +5,12 @@
 
 namespace mccl::sim {
 
+namespace {
+/// Per-(src,dst) SPSC ring capacity (power of two); bursts past it spill
+/// to a producer-side vector without losing FIFO order.
+constexpr std::size_t kRingCapacity = std::size_t{1} << 12;
+}  // namespace
+
 // mccl: quiescent ctor runs before the workers exist
 ParallelEngine::ParallelEngine(ParallelConfig cfg) : cfg_(cfg) {
   shards_ = cfg_.shards < 1 ? 1 : cfg_.shards;
@@ -23,7 +29,7 @@ ParallelEngine::ParallelEngine(ParallelConfig cfg) : cfg_(cfg) {
         if (src != dst)
           // mccl-lint: allow(no-unguarded-shared-state) ctor, pre-run
           rings_[static_cast<std::size_t>(src) * shards_ + dst] =
-              std::make_unique<SpscRing<CrossMsg>>(cfg_.ring_capacity);
+              std::make_unique<SpscRing<CrossMsg>>(kRingCapacity);
     post_seq_.resize(static_cast<std::size_t>(shards_));
     spills_.resize(static_cast<std::size_t>(shards_));
     // mccl-lint: allow(no-unguarded-shared-state) ctor runs single-threaded

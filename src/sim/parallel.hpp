@@ -51,9 +51,6 @@ struct ParallelConfig {
   /// this much delay. Must be > 0 when shards > 1 (use the topology
   /// partitioner's minimum cut-link latency).
   Time lookahead = 0;
-  /// Per-(src,dst) SPSC ring capacity (power of two); bursts past it spill
-  /// to a producer-side vector without losing FIFO order.
-  std::size_t ring_capacity = 1 << 12;
 };
 
 class ParallelEngine {

@@ -132,6 +132,17 @@ TEST(Worker, MultiCqSubscriptionDispatchesPerCq) {
   EXPECT_EQ(from_b, 2);
 }
 
+TEST(WorkerDeathTest, SecondConsumerOnOneCqAborts) {
+  sim::Engine e;
+  Complex c(e, {.cores = 1, .threads_per_core = 2, .ghz = 1.0});
+  Worker& first = c.create_worker();
+  Worker& second = c.create_worker();
+  rdma::Cq cq;
+  first.subscribe(cq, [](const rdma::Cqe&) {}, Cost{1, 0});
+  EXPECT_DEATH(second.subscribe(cq, [](const rdma::Cqe&) {}, Cost{1, 0}),
+               "CQ already has a consumer");
+}
+
 TEST(Worker, IpcMatchesCostSplit) {
   sim::Engine e;
   Complex c(e, Complex::dpa_config());

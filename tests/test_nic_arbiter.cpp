@@ -1,8 +1,11 @@
 // NIC egress-arbiter tests: fair round-robin across TX queues, FIFO within
 // a queue, departure callbacks, and the no-head-of-line-blocking guarantee
-// that keeps concurrent collectives honest.
+// that keeps concurrent collectives honest. Also the on-NIC DMA engine
+// (post_local_copy): FIFO completion times and crash suppression.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "src/rdma/nic.hpp"
@@ -110,6 +113,109 @@ TEST(NicArbiter, ManyQueuesShareEvenly) {
       seen[w.arrivals[base + k] / 1000] = true;
     for (int q = 0; q < kQueues; ++q) EXPECT_TRUE(seen[q]) << base;
   }
+}
+
+// --- On-NIC DMA engine --------------------------------------------------------
+
+struct DmaWorld {
+  sim::Engine engine;
+  fabric::Fabric fab;
+  Nic nic;
+
+  DmaWorld()
+      : fab(engine, fabric::make_back_to_back({100.0, 0}), {}),
+        nic(engine, fab, 0, {}) {}
+
+  /// Allocates `len` bytes holding a seed-dependent pattern.
+  std::uint64_t filled(std::uint64_t len, std::uint8_t seed) {
+    const std::uint64_t addr = nic.memory().alloc(len);
+    std::uint8_t* p = nic.memory().at(addr);
+    for (std::uint64_t i = 0; i < len; ++i)
+      p[i] = static_cast<std::uint8_t>(seed * 31 + i);
+    return addr;
+  }
+
+  bool same(std::uint64_t a, std::uint64_t b, std::uint64_t len) {
+    return std::memcmp(nic.memory().at(a), nic.memory().at(b), len) == 0;
+  }
+
+  bool zero(std::uint64_t a, std::uint64_t len) {
+    const std::uint8_t* p = nic.memory().at(a);
+    return std::all_of(p, p + len, [](std::uint8_t b) { return b == 0; });
+  }
+};
+
+TEST(NicDma, CopiesCompleteInPostOrderAtModeledTimes) {
+  DmaWorld w;
+  // Three copies at t=0 (the short last one must still finish last), one
+  // posted at 1 us while the engine is busy, one at 100 us when it is idle.
+  struct Post {
+    Time at;
+    std::uint64_t len;
+  };
+  const std::vector<Post> posts = {{0, 64 * KiB},
+                                   {0, 4 * KiB},
+                                   {0, 1 * KiB},
+                                   {1 * kMicrosecond, 8 * KiB},
+                                   {100 * kMicrosecond, 2 * KiB}};
+  std::vector<std::uint64_t> src, dst;
+  for (std::size_t i = 0; i < posts.size(); ++i) {
+    src.push_back(w.filled(posts[i].len, static_cast<std::uint8_t>(i + 1)));
+    dst.push_back(w.nic.memory().alloc(posts[i].len));
+  }
+  std::vector<std::size_t> order;
+  std::vector<Time> done_at(posts.size(), -1);
+  for (std::size_t i = 0; i < posts.size(); ++i) {
+    w.engine.schedule_at(posts[i].at, [&, i] {
+      w.nic.post_local_copy(src[i], dst[i], posts[i].len, [&, i] {
+        order.push_back(i);
+        done_at[i] = w.engine.now();
+      });
+    });
+  }
+  w.engine.run();
+
+  ASSERT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  Time free_at = 0;
+  for (std::size_t i = 0; i < posts.size(); ++i) {
+    free_at = std::max(posts[i].at, free_at) +
+              serialization_time(posts[i].len, kDmaGbps);
+    EXPECT_EQ(done_at[i], free_at + kDmaLatency) << "copy " << i;
+    EXPECT_TRUE(w.same(src[i], dst[i], posts[i].len)) << "copy " << i;
+  }
+  EXPECT_EQ(w.nic.dma_ops(), posts.size());
+}
+
+TEST(NicDma, CrashBeforeCompletionDropsCallbackAndBytes) {
+  DmaWorld w;
+  const std::uint64_t len = 4 * KiB;
+  const std::uint64_t src = w.filled(len, 7);
+  const std::uint64_t dst = w.nic.memory().alloc(len);
+  bool done = false;
+  w.nic.post_local_copy(src, dst, len, [&] { done = true; });
+  w.engine.schedule_at(1 * kNanosecond, [&] { w.nic.set_crashed(true); });
+  w.engine.run();
+  EXPECT_FALSE(done);
+  EXPECT_TRUE(w.zero(dst, len));
+}
+
+TEST(NicDma, CopiesPostedAfterRecoveryComplete) {
+  DmaWorld w;
+  const std::uint64_t len = 4 * KiB;
+  const std::uint64_t src = w.filled(len, 9);
+  const std::uint64_t lost = w.nic.memory().alloc(len);
+  const std::uint64_t dst = w.nic.memory().alloc(len);
+  int lost_done = 0, done = 0;
+  w.nic.post_local_copy(src, lost, len, [&] { ++lost_done; });
+  w.nic.set_crashed(true);
+  w.engine.run();  // the dropped completion still leaves the DMA queue
+  w.nic.set_crashed(false);
+  w.nic.post_local_copy(src, dst, len, [&] { ++done; });
+  w.engine.run();
+  EXPECT_EQ(lost_done, 0);
+  EXPECT_EQ(done, 1);
+  EXPECT_TRUE(w.zero(lost, len));
+  EXPECT_TRUE(w.same(src, dst, len));
 }
 
 }  // namespace

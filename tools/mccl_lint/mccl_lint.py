@@ -27,10 +27,11 @@ Two layers:
                      held through fabric::PacketRef (intrusive refcount, no
                      atomic ops, recycling on release).
   no-hot-alloc       No heap-allocation keywords (new, make_unique,
-                     make_shared, malloc/calloc/realloc, std::function
-                     declarations) inside regions marked
+                     make_shared, malloc/calloc/realloc, std::function or
+                     std::deque declarations) inside regions marked
                      `// mccl-lint: begin-hot <name>` ... `// mccl-lint:
-                     end-hot` -- the engine-dispatch and per-packet paths.
+                     end-hot` -- the engine-dispatch and per-packet paths
+                     and the datapath queues (use sim::InlineFn and Ring).
   capture-budget     Lambda capture lists passed to Engine::schedule /
                      schedule_at stay within the 64-byte inline-callback
                      budget (<= 8 captured entities at ~8 bytes each);
@@ -167,7 +168,8 @@ SHARED_PACKET_RE = re.compile(
     r"(?:shared_ptr|make_shared)\s*<\s*(?:mccl::)?(?:fabric::)?Packet\s*>")
 HOT_ALLOC_RE = re.compile(
     r"\bnew\b|\bmake_unique\b|\bmake_shared\b"
-    r"|\b(?:malloc|calloc|realloc)\s*\(|std::function\s*<")
+    r"|\b(?:malloc|calloc|realloc)\s*\(|std::function\s*<"
+    r"|std::deque\s*<")
 SCHEDULE_RE = re.compile(r"\bschedule(_at)?\s*\(")
 
 # The cross-shard mailbox plane: the ParallelEngine's SPSC ring array and
@@ -837,6 +839,10 @@ SELF_TESTS = [
     ("no-hot-alloc", "src/sim/bad2.cpp",
      "// mccl-lint: begin-hot test-region\n"
      "void step() { auto* p = new int(7); (void)p; }\n"
+     "// mccl-lint: end-hot\n"),
+    ("no-hot-alloc", "src/rdma/bad3.hpp",
+     "// mccl-lint: begin-hot test-queues\n"
+     "std::deque<Cqe> queue_;\n"
      "// mccl-lint: end-hot\n"),
     ("no-wallclock", "src/sched/bad.cpp",
      "unsigned f() { return std::random_device{}(); }\n"),
