@@ -353,7 +353,8 @@ void HealthMonitor::reweight_host_rails() {
     rail_bad[static_cast<std::size_t>(rl)] = unhealthy_dirs_on_rail(rl) > 0;
     any_bad |= rail_bad[static_cast<std::size_t>(rl)];
   }
-  for (fabric::NodeId h = 0; h < topo.num_nodes(); ++h) {
+  const auto nodes = static_cast<fabric::NodeId>(topo.num_nodes());
+  for (fabric::NodeId h = 0; h < nodes; ++h) {
     if (!topo.is_host(h)) continue;
     for (const fabric::Port& p : topo.ports(h)) {
       const int rl = topo.rail_of(p.peer);

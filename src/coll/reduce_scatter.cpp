@@ -9,7 +9,7 @@ namespace {
 void fill_rs_block(rdma::HostMemory& mem, std::uint64_t addr,
                    std::uint64_t bytes, std::size_t origin,
                    std::size_t block) {
-  float* p = reinterpret_cast<float*>(mem.at(addr));
+  float* p = reinterpret_cast<float*>(mem.at(addr, bytes));
   for (std::uint64_t i = 0; i < bytes / sizeof(float); ++i)
     p[i] = rs_value(origin, block, i);
 }
@@ -105,8 +105,8 @@ void RingReduceScatter::accumulate(std::size_t r, std::uint64_t acc_addr,
                                    std::uint64_t len) {
   if (!comm_.data_mode()) return;
   auto& mem = comm_.ep(r).nic().memory();
-  float* acc = reinterpret_cast<float*>(mem.at(acc_addr));
-  const float* own = reinterpret_cast<const float*>(mem.at(own_addr));
+  float* acc = reinterpret_cast<float*>(mem.at(acc_addr, len));
+  const float* own = reinterpret_cast<const float*>(mem.at(own_addr, len));
   for (std::uint64_t i = 0; i < len / sizeof(float); ++i) acc[i] += own[i];
 }
 
@@ -142,7 +142,7 @@ void RingReduceScatter::on_ctrl(std::size_t r, const CtrlMsg& msg,
     MCCL_CHECK(block == r);
     if (comm_.data_mode()) {
       auto& mem = comm_.ep(r).nic().memory();
-      mem.write(s2.recvbuf + seg_off(g), mem.at(acc), len);
+      mem.write(s2.recvbuf + seg_off(g), mem.at(acc, len), len);
     }
     if (++s2.finals_done == num_segments()) {
       s2.op_done = true;
@@ -157,7 +157,7 @@ bool RingReduceScatter::verify() const {
   const std::size_t P = comm_.size();
   for (std::size_t r = 0; r < P; ++r) {
     const float* got = reinterpret_cast<const float*>(
-        comm_.ep(r).nic().memory().at(st_[r].recvbuf));
+        comm_.ep(r).nic().memory().at(st_[r].recvbuf, bytes_));
     for (std::uint64_t i = 0; i < bytes_ / sizeof(float); ++i) {
       float want = 0;
       for (std::size_t o = 0; o < P; ++o) want += rs_value(o, r, i);
@@ -256,7 +256,7 @@ void IncReduceScatter::contribute_batch(std::size_t r, std::size_t peer_off,
       fabric::Payload payload;
       if (comm_.data_mode()) {
         const std::uint8_t* src =
-            ep2.nic().memory().at(s.sendbuf + owner_rank * bytes_ + off);
+            ep2.nic().memory().at(s.sendbuf + owner_rank * bytes_ + off, len);
         payload = fabric::Payload::copy_of(src, len);
       }
       comm_.cluster().inc().contribute(
@@ -283,11 +283,12 @@ void IncReduceScatter::on_result(std::size_t r, const rdma::Cqe& cqe) {
     MCCL_CHECK(it != s.payloads.end());
     auto& mem = comm_.ep(r).nic().memory();
     const std::uint64_t off = static_cast<std::uint64_t>(chunk) * chunk_bytes_;
-    float* dst = reinterpret_cast<float*>(mem.at(s.recvbuf + off));
+    const std::uint64_t len = cqe.byte_len;
+    float* dst = reinterpret_cast<float*>(mem.at(s.recvbuf + off, len));
     const float* net = reinterpret_cast<const float*>(it->second.data());
     const float* own = reinterpret_cast<const float*>(
-        mem.at(s.sendbuf + r * bytes_ + off));
-    const std::size_t n = cqe.byte_len / sizeof(float);
+        mem.at(s.sendbuf + r * bytes_ + off, len));
+    const std::size_t n = len / sizeof(float);
     for (std::size_t i = 0; i < n; ++i) dst[i] = net[i] + own[i];
     s.payloads.erase(it);
   }
@@ -303,7 +304,7 @@ bool IncReduceScatter::verify() const {
   const std::size_t P = comm_.size();
   for (std::size_t r = 0; r < P; ++r) {
     const float* got = reinterpret_cast<const float*>(
-        comm_.ep(r).nic().memory().at(st_[r].recvbuf));
+        comm_.ep(r).nic().memory().at(st_[r].recvbuf, bytes_));
     for (std::uint64_t i = 0; i < bytes_ / sizeof(float); ++i) {
       float want = 0;
       for (std::size_t o = 0; o < P; ++o) want += rs_value(o, r, i);

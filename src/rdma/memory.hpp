@@ -2,11 +2,17 @@
 //
 // Every simulated host owns a byte arena; RDMA operations move real bytes
 // between arenas so the collective tests can verify results byte-for-byte
-// (including after drop recovery through the reliability layer). Memory
+// (including after drop recovery through the reliability layer). A backed
+// arena is one anonymous mapping of its whole capacity, reserved once and
+// faulted in on first touch: it never moves, so growth copies and zero-fills
+// nothing and raw pointers from at() stay valid for the arena's lifetime.
+// Every access is bounds-checked against the bump pointer. Memory
 // registration mirrors verbs: a region gets a local key and a remote key;
 // one-sided operations name (raddr, rkey) and are bounds-checked against the
 // registration, exactly the failure mode a real HCA enforces.
 #pragma once
+
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <array>
@@ -35,19 +41,28 @@ class HostMemory {
   /// does not materialize gigabytes of buffers.
   explicit HostMemory(std::uint64_t capacity, bool backed = true)
       : capacity_(capacity), backed_(backed) {}
+  ~HostMemory() {
+    if (bytes_ != nullptr) ::munmap(bytes_, capacity_);
+  }
+  // Owns the mapping, and at() pointers into it are held across calls.
+  HostMemory(const HostMemory&) = delete;
+  HostMemory& operator=(const HostMemory&) = delete;
 
   std::uint64_t capacity() const { return capacity_; }
   bool backed() const { return backed_; }
 
   /// Bump allocation; simulation arenas are never freed piecemeal. Backing
-  /// storage grows lazily so idle hosts cost nothing.
+  /// storage is reserved once, faulted in on first touch: pages nobody
+  /// writes cost nothing and read as 0. Buffers of at least one huge page
+  /// get a transparent-huge-page hint; staging and control allocations stay
+  /// on base pages.
   std::uint64_t alloc(std::uint64_t len, std::uint64_t align = 64) {
     std::uint64_t base = (brk_ + align - 1) / align * align;
     MCCL_CHECK_MSG(base + len <= capacity_, "host memory exhausted");
     brk_ = base + len;
-    if (backed_ && brk_ > bytes_.size()) {
-      std::uint64_t grown = std::max<std::uint64_t>(bytes_.size() * 2, 4096);
-      bytes_.resize(std::min(std::max(grown, brk_), capacity_));
+    if (backed_) {
+      reserve();
+      hint_huge_pages(base, len);
     }
     return base;
   }
@@ -60,28 +75,28 @@ class HostMemory {
   /// communicators, their arenas drift apart; aligning every member rank
   /// to the team's max watermark before a symmetric alloc sequence makes
   /// identical per-rank allocations yield identical offsets again. The
-  /// skipped range is never backed (allocation only moves forward).
+  /// skipped range is never written (allocation only moves forward).
   void align_brk(std::uint64_t watermark) {
     MCCL_CHECK_MSG(watermark <= capacity_, "host memory exhausted");
     brk_ = std::max(brk_, watermark);
+    if (backed_) reserve();
   }
 
-  /// Mutable access. Hands out a raw pointer the caller may scribble
-  /// through, so every cached send snapshot is conservatively invalidated.
-  std::uint8_t* at(std::uint64_t addr) {
-    MCCL_CHECK_MSG(backed_, "access to an unbacked (timing-only) arena");
-    MCCL_CHECK(addr <= bytes_.size());
+  /// Mutable access to [addr, addr + len). Hands out a raw pointer the
+  /// caller may scribble through, so every cached send snapshot is
+  /// conservatively invalidated.
+  std::uint8_t* at(std::uint64_t addr, std::uint64_t len) {
+    check_range(addr, len);
     for (Snapshot& s : snaps_) s.data = nullptr;
-    return bytes_.data() + addr;
+    return bytes_ + addr;
   }
-  const std::uint8_t* at(std::uint64_t addr) const {
-    MCCL_CHECK_MSG(backed_, "access to an unbacked (timing-only) arena");
-    MCCL_CHECK(addr <= bytes_.size());
-    return bytes_.data() + addr;
+  const std::uint8_t* at(std::uint64_t addr, std::uint64_t len) const {
+    check_range(addr, len);
+    return bytes_ + addr;
   }
 
   void write(std::uint64_t addr, const std::uint8_t* src, std::uint64_t len) {
-    MCCL_CHECK(addr + len <= bytes_.size());
+    check_range(addr, len);
     // Drop cached snapshots overlapping the written range; in-flight
     // packets holding slices keep the pre-write bytes (by design — they
     // were "serialized" when the send was pumped).
@@ -90,12 +105,12 @@ class HostMemory {
           addr + len > s.base)
         s.data = nullptr;
     }
-    std::copy(src, src + len, bytes_.data() + addr);
+    std::copy(src, src + len, bytes_ + addr);
   }
 
   void read(std::uint64_t addr, std::uint8_t* dst, std::uint64_t len) const {
-    MCCL_CHECK(addr + len <= bytes_.size());
-    std::copy(bytes_.data() + addr, bytes_.data() + addr + len, dst);
+    check_range(addr, len);
+    std::copy(bytes_ + addr, bytes_ + addr + len, dst);
   }
 
   /// Zero-copy send path: an immutable shared slice of this arena's bytes
@@ -105,8 +120,7 @@ class HostMemory {
   /// reuses addresses, and at()/write() invalidate overlapping windows, so
   /// a cache hit always serves current bytes.
   fabric::Payload snapshot_slice(std::uint64_t addr, std::uint64_t len) {
-    MCCL_CHECK_MSG(backed_, "access to an unbacked (timing-only) arena");
-    MCCL_CHECK(addr + len <= brk_);
+    check_range(addr, len);
     ++snap_clock_;
     for (Snapshot& s : snaps_) {
       if (s.data != nullptr && addr >= s.base &&
@@ -126,9 +140,8 @@ class HostMemory {
       }
       if (s.last_use < victim->last_use) victim = &s;
     }
-    victim->data = std::make_shared<std::vector<std::uint8_t>>(
-        bytes_.begin() + static_cast<std::ptrdiff_t>(base),
-        bytes_.begin() + static_cast<std::ptrdiff_t>(end));
+    victim->data = std::make_shared<std::vector<std::uint8_t>>(bytes_ + base,
+                                                               bytes_ + end);
     victim->base = base;
     victim->last_use = snap_clock_;
     return fabric::Payload(victim->data, addr - base, len);
@@ -141,10 +154,39 @@ class HostMemory {
     std::uint64_t last_use = 0;
   };
   static constexpr std::uint64_t kSnapshotWindow = std::uint64_t{1} << 18;
+  static constexpr std::uint64_t kHugePage = std::uint64_t{2} << 20;
+
+  void check_range(std::uint64_t addr, std::uint64_t len) const {
+    MCCL_CHECK_MSG(backed_, "access to an unbacked (timing-only) arena");
+    MCCL_CHECK(len <= brk_ && addr <= brk_ - len);
+  }
+
+  /// Maps the whole capacity on first use. MAP_NORESERVE: the mapping
+  /// commits no memory until pages are touched.
+  void reserve() {
+    if (bytes_ != nullptr) return;
+    void* p = ::mmap(nullptr, capacity_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    MCCL_CHECK_MSG(p != MAP_FAILED, "host memory reservation failed");
+    bytes_ = static_cast<std::uint8_t*>(p);
+  }
+
+  /// Asks for huge pages on the 2 MiB-aligned interior of [base, base +
+  /// len), which is empty unless len >= 2 MiB. A hint only: a kernel that
+  /// ignores it leaves base pages.
+  void hint_huge_pages(std::uint64_t base, std::uint64_t len) {
+    constexpr std::uintptr_t kMask = kHugePage - 1;
+    const auto lo =
+        (reinterpret_cast<std::uintptr_t>(bytes_ + base) + kMask) & ~kMask;
+    const auto hi =
+        reinterpret_cast<std::uintptr_t>(bytes_ + base + len) & ~kMask;
+    if (hi > lo)
+      ::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_HUGEPAGE);
+  }
 
   std::uint64_t capacity_;
   bool backed_;
-  std::vector<std::uint8_t> bytes_;
+  std::uint8_t* bytes_ = nullptr;
   std::uint64_t brk_ = 0;
   std::array<Snapshot, 4> snaps_;
   std::uint64_t snap_clock_ = 0;

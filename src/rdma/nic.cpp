@@ -157,7 +157,8 @@ void Nic::finish_copy() {
   DmaCopy copy = dma_copies_.pop();
   if (crashed_) return;  // the completion dies with the host
   if (config_.carry_payload)
-    memory_.write(copy.dst, std::as_const(memory_).at(copy.src), copy.len);
+    memory_.write(copy.dst, std::as_const(memory_).at(copy.src, copy.len),
+                  copy.len);
   if (copy.done) copy.done();
 }
 // mccl-lint: end-hot

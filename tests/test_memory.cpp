@@ -1,7 +1,12 @@
 // Host memory arena and registration-table tests, including the unbacked
-// (timing-only) mode used by large synthetic benchmarks.
+// (timing-only) mode used by large synthetic benchmarks, and the tiled
+// test-pattern helpers collectives verify their results with.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
+#include "src/coll/pattern.hpp"
 #include "src/rdma/memory.hpp"
 
 namespace mccl::rdma {
@@ -34,6 +39,61 @@ TEST(HostMemory, WriteReadRoundTrip) {
   EXPECT_EQ(out[3], 4);
 }
 
+TEST(HostMemory, UnwrittenBytesReadZero) {
+  HostMemory m(std::uint64_t{64} << 20);
+  const auto a = m.alloc(std::uint64_t{8} << 20);  // huge-page hinted
+  const auto b = m.alloc(100);
+  const std::uint8_t* pa = m.at(a, std::uint64_t{8} << 20);
+  EXPECT_TRUE(std::all_of(pa, pa + (std::uint64_t{8} << 20),
+                          [](std::uint8_t x) { return x == 0; }));
+  const std::uint8_t* pb = m.at(b, 100);
+  EXPECT_TRUE(std::all_of(pb, pb + 100, [](std::uint8_t x) { return x == 0; }));
+}
+
+TEST(HostMemory, ArenaNeverMovesAndKeepsBytes) {
+  HostMemory m(std::uint64_t{64} << 20);
+  const auto a = m.alloc(16);
+  const std::uint8_t data[4] = {7, 8, 9, 10};
+  m.write(a, data, 4);
+  const std::uint8_t* base = std::as_const(m).at(0, 0);
+  // Growth across several powers of two must not move the arena.
+  for (std::uint64_t len : {4096u, 100000u, 1u << 20, 5u << 20}) m.alloc(len);
+  EXPECT_EQ(std::as_const(m).at(0, 0), base);
+  std::uint8_t out[4] = {};
+  m.read(a, out, 4);
+  EXPECT_EQ(std::vector<std::uint8_t>(out, out + 4),
+            std::vector<std::uint8_t>(data, data + 4));
+}
+
+TEST(HostMemory, SnapshotKeepsBytesFromBeforeAWrite) {
+  HostMemory m(1 << 20);
+  const auto a = m.alloc(64);
+  const std::uint8_t before[4] = {1, 2, 3, 4};
+  const std::uint8_t after[4] = {5, 6, 7, 8};
+  m.write(a, before, 4);
+  const fabric::Payload slice = m.snapshot_slice(a, 4);
+  m.write(a, after, 4);
+  EXPECT_EQ(std::vector<std::uint8_t>(slice.data(), slice.data() + 4),
+            std::vector<std::uint8_t>(before, before + 4));
+  const fabric::Payload fresh = m.snapshot_slice(a, 4);
+  EXPECT_EQ(std::vector<std::uint8_t>(fresh.data(), fresh.data() + 4),
+            std::vector<std::uint8_t>(after, after + 4));
+}
+
+TEST(HostMemory, AccessEndingPastBrkAborts) {
+  HostMemory m(1 << 20);
+  const auto a = m.alloc(100);
+  m.at(a, 100);  // exact fit
+  std::uint8_t buf[8] = {};
+  EXPECT_DEATH(m.at(a + 96, 8), "brk");
+  EXPECT_DEATH(std::as_const(m).at(a + 96, 8), "brk");
+  EXPECT_DEATH(m.read(a + 96, buf, 8), "brk");
+  EXPECT_DEATH(m.write(a + 96, buf, 8), "brk");
+  EXPECT_DEATH(m.snapshot_slice(a + 96, 8), "brk");
+  EXPECT_DEATH(coll::fill_pattern(m, a, 101, 1, 0), "brk");
+  EXPECT_DEATH(coll::check_pattern(m, a, 101, 1, 0), "brk");
+}
+
 TEST(HostMemory, ExhaustionAborts) {
   HostMemory m(1024);
   m.alloc(1000);
@@ -45,13 +105,40 @@ TEST(HostMemory, UnbackedAllocatesAddressSpaceOnly) {
   const auto a = m.alloc(std::uint64_t{8} << 30);  // 8 GiB, no RAM used
   const auto b = m.alloc(std::uint64_t{8} << 30);
   EXPECT_GT(b, a);
-  EXPECT_DEATH(m.at(a), "unbacked");
+  EXPECT_DEATH(m.at(a, 1), "unbacked");
 }
 
 TEST(HostMemory, UnbackedStillEnforcesCapacity) {
   HostMemory m(1024, /*backed=*/false);
   m.alloc(1000);
   EXPECT_DEATH(m.alloc(100), "exhausted");
+}
+
+TEST(Pattern, FillMatchesPatternByteAcrossTiles) {
+  constexpr std::uint64_t kLen = 3 * coll::kPatternTile + 123;
+  HostMemory m(1 << 20);
+  const auto a = m.alloc(kLen);
+  coll::fill_pattern(m, a, kLen, 42, 5);
+  const std::uint8_t* p = m.at(a, kLen);
+  for (std::uint64_t i = 0; i < kLen; ++i)
+    ASSERT_EQ(p[i], coll::pattern_byte(42, 5, i)) << "offset " << i;
+  EXPECT_TRUE(coll::check_pattern(m, a, kLen, 42, 5));
+  EXPECT_FALSE(coll::check_pattern(m, a, kLen, 42, 6));
+}
+
+TEST(Pattern, CheckCatchesOneFlippedByte) {
+  constexpr std::uint64_t kLen = 2 * coll::kPatternTile + 7;
+  HostMemory m(1 << 20);
+  const auto a = m.alloc(kLen);
+  coll::fill_pattern(m, a, kLen, 3, 1);
+  for (std::uint64_t off : {std::uint64_t{0}, coll::kPatternTile - 1,
+                            coll::kPatternTile, kLen - 1}) {
+    std::uint8_t* p = m.at(a + off, 1);
+    *p ^= 0x01;
+    EXPECT_FALSE(coll::check_pattern(m, a, kLen, 3, 1)) << "offset " << off;
+    *p ^= 0x01;
+    EXPECT_TRUE(coll::check_pattern(m, a, kLen, 3, 1));
+  }
 }
 
 TEST(MrTable, SequentialKeys) {

@@ -129,18 +129,19 @@ struct DmaWorld {
   /// Allocates `len` bytes holding a seed-dependent pattern.
   std::uint64_t filled(std::uint64_t len, std::uint8_t seed) {
     const std::uint64_t addr = nic.memory().alloc(len);
-    std::uint8_t* p = nic.memory().at(addr);
+    std::uint8_t* p = nic.memory().at(addr, len);
     for (std::uint64_t i = 0; i < len; ++i)
       p[i] = static_cast<std::uint8_t>(seed * 31 + i);
     return addr;
   }
 
   bool same(std::uint64_t a, std::uint64_t b, std::uint64_t len) {
-    return std::memcmp(nic.memory().at(a), nic.memory().at(b), len) == 0;
+    return std::memcmp(nic.memory().at(a, len), nic.memory().at(b, len),
+                       len) == 0;
   }
 
   bool zero(std::uint64_t a, std::uint64_t len) {
-    const std::uint8_t* p = nic.memory().at(a);
+    const std::uint8_t* p = nic.memory().at(a, len);
     return std::all_of(p, p + len, [](std::uint8_t b) { return b == 0; });
   }
 };

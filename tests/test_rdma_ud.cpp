@@ -66,7 +66,8 @@ TEST(UdQp, DatagramMovesBytes) {
   EXPECT_EQ(cqe.imm, 42u);
   EXPECT_TRUE(cqe.has_imm);
   EXPECT_EQ(cqe.src, 0);
-  EXPECT_EQ(std::vector<std::uint8_t>(m1.at(dst), m1.at(dst) + 1024), data);
+  const std::uint8_t* got = m1.at(dst, 1024);
+  EXPECT_EQ(std::vector<std::uint8_t>(got, got + 1024), data);
 }
 
 TEST(UdQp, SendCompletionAtWireDeparture) {

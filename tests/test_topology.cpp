@@ -92,15 +92,19 @@ TEST(Topology, MultiRailFatTreeShape) {
     EXPECT_EQ(t.rail_of(ports[0].peer), 0);
     EXPECT_EQ(t.rail_of(ports[1].peer), 1);
   }
-  for (NodeId sw = 8; sw < t.num_nodes(); ++sw) {
+  const auto nodes = static_cast<NodeId>(t.num_nodes());
+  for (NodeId sw = 8; sw < nodes; ++sw) {
     EXPECT_FALSE(t.is_host(sw));
     EXPECT_EQ(t.rail_of(sw), sw < 11 ? 0 : 1);
   }
   // The planes are disjoint: no switch has a port into the other rail.
-  for (NodeId sw = 8; sw < t.num_nodes(); ++sw)
-    for (const Port& p : t.ports(sw))
-      if (!t.is_host(p.peer))
+  for (NodeId sw = 8; sw < nodes; ++sw) {
+    for (const Port& p : t.ports(sw)) {
+      if (!t.is_host(p.peer)) {
         EXPECT_EQ(t.rail_of(p.peer), t.rail_of(sw));
+      }
+    }
+  }
 }
 
 // --- Three-level k-ary fat tree (Al-Fares Clos) ----------------------------
