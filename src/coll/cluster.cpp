@@ -61,7 +61,7 @@ void Cluster::publish_metrics(telemetry::MetricsRegistry& reg) {
   reg.gauge("sim.time_us").set(to_microseconds(engine_.now()));
   fabric_->publish_metrics(reg);
   std::uint64_t rnr = 0, retx = 0, broken = 0, dma_ops = 0, dma_bytes = 0;
-  std::uint64_t crc_drops = 0;
+  std::uint64_t crc_drops = 0, rkey_drops = 0;
   for (const auto& nic : nics_) {
     rnr += nic->ud_rnr_drops() + nic->uc_rnr_drops();
     retx += nic->rc_retransmissions();
@@ -69,10 +69,12 @@ void Cluster::publish_metrics(telemetry::MetricsRegistry& reg) {
     dma_ops += nic->dma_ops();
     dma_bytes += nic->dma_bytes();
     crc_drops += nic->crc_drops();
+    rkey_drops += nic->uc_rkey_drops();
   }
   reg.counter("nic.rnr_drops").set(rnr);
   reg.counter("nic.rc_retransmissions").set(retx);
   reg.counter("nic.uc_broken_messages").set(broken);
+  reg.counter("nic.uc_rkey_drops").set(rkey_drops);
   reg.counter("nic.dma_ops").set(dma_ops);
   reg.counter("nic.dma_bytes").set(dma_bytes);
   reg.counter("integrity.crc_drops").set(crc_drops);

@@ -99,9 +99,41 @@ void OpBase::maybe_note_done() {
   if (done_noted_ || !done()) return;
   done_noted_ = true;
   comm_.note_op_finished();
+  // Release before the callback, so an op it starts can take these blocks;
+  // their bytes stay intact (and verify() valid) until then.
+  maybe_release();
   // Fire after the communicator's own bookkeeping so the callback observes
   // a fully settled op (detector deactivated, finish times final).
   if (on_done_) on_done_(*this);
+}
+
+std::uint64_t OpBase::symmetric_buffer(std::uint64_t len) {
+  blocks_.push_back(comm_.acquire_block(len));
+  return blocks_.back().addr;
+}
+
+std::uint32_t OpBase::register_symmetric(std::uint64_t addr,
+                                         std::uint64_t len) {
+  const std::uint32_t rkey = comm_.cluster().next_shared_rkey();
+  for (std::size_t r = 0; r < comm_.size(); ++r)
+    comm_.ep(r).nic().mrs().register_with_rkey(addr, len, rkey);
+  rkeys_.push_back(rkey);
+  return rkey;
+}
+
+void OpBase::wr_completed() {
+  MCCL_CHECK(wrs_in_flight_ > 0);
+  --wrs_in_flight_;
+  maybe_release();
+}
+
+void OpBase::maybe_release() {
+  if (released_ || pinned_ || wrs_in_flight_ > 0 || !done()) return;
+  released_ = true;
+  for (const std::uint32_t rkey : rkeys_)
+    for (std::size_t r = 0; r < comm_.size(); ++r)
+      comm_.ep(r).nic().mrs().deregister(rkey);
+  for (const SymmetricBlock& b : blocks_) comm_.release_block(b);
 }
 
 // ---------------------------------------------------------------------------
@@ -195,8 +227,10 @@ void Communicator::on_host_crash(fabric::NodeId host, bool crashed) {
   const std::size_t r = it->second;
   host_crashed_[r] = crashed ? 1 : 0;
   if (!crashed) return;
-  for (auto& op : ops_)
+  for (auto& op : ops_) {
+    if (!op->released()) op->pin_buffers();
     if (!op->done()) op->note_rank_crashed(r);
+  }
 }
 
 std::size_t Communicator::presumed_alive() const {
@@ -274,9 +308,28 @@ void Communicator::align_symmetric_heap() {
   for (auto& ep : eps_) ep->nic().memory().align_brk(watermark);
 }
 
+SymmetricBlock Communicator::acquire_block(std::uint64_t len) {
+  const auto it = free_blocks_.lower_bound(len);
+  if (it != free_blocks_.end()) {
+    const SymmetricBlock block{it->second, it->first};
+    free_blocks_.erase(it);
+    return block;
+  }
+  align_symmetric_heap();
+  const std::uint64_t addr = eps_[0]->nic().memory().alloc(len);
+  for (std::size_t r = 1; r < size(); ++r)
+    MCCL_CHECK_MSG(eps_[r]->nic().memory().alloc(len) == addr,
+                   "asymmetric pool block allocation");
+  ++pool_blocks_;
+  return {addr, len};
+}
+
+void Communicator::release_block(const SymmetricBlock& block) {
+  free_blocks_.emplace(block.len, block.addr);
+}
+
 OpBase& Communicator::start_broadcast(std::size_t root, std::uint64_t bytes,
                                       BcastAlgo algo) {
-  align_symmetric_heap();
   rebalance_subgroups();
   if (algo == BcastAlgo::kMcast) {
     McastCollective::Params p;
@@ -296,7 +349,6 @@ OpBase& Communicator::start_broadcast(std::size_t root, std::uint64_t bytes,
 
 OpBase& Communicator::start_allgather(std::uint64_t bytes,
                                       AllgatherAlgo algo) {
-  align_symmetric_heap();
   rebalance_subgroups();
   switch (algo) {
     case AllgatherAlgo::kMcast: {
@@ -328,7 +380,6 @@ OpBase& Communicator::start_allgather(std::uint64_t bytes,
 
 OpBase& Communicator::start_reduce_scatter(std::uint64_t block_bytes,
                                            ReduceScatterAlgo algo) {
-  align_symmetric_heap();
   if (algo == ReduceScatterAlgo::kRing)
     ops_.push_back(std::make_unique<RingReduceScatter>(*this, block_bytes));
   else
@@ -338,7 +389,6 @@ OpBase& Communicator::start_reduce_scatter(std::uint64_t block_bytes,
 }
 
 OpBase& Communicator::start_barrier() {
-  align_symmetric_heap();
   ops_.push_back(std::make_unique<BarrierOp>(*this));
   ops_.back()->start();
   return *ops_.back();

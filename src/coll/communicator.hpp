@@ -17,6 +17,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -165,6 +166,13 @@ struct OpResult {
   std::uint64_t chain_demotions = 0;
   /// Fetch requests steered away from a lagging target.
   std::uint64_t fetch_detours = 0;
+};
+
+/// One block of a communicator's symmetric buffer pool: the range
+/// [addr, addr + len) in every member rank's host arena.
+struct SymmetricBlock {
+  std::uint64_t addr = 0;
+  std::uint64_t len = 0;
 };
 
 enum class BcastAlgo : std::uint8_t {
@@ -343,6 +351,14 @@ class OpBase {
   /// Protocol repair is NOT triggered here — survivors act only on what
   /// their failure detector confirms (on_peer_confirmed_dead).
   void note_rank_crashed(std::size_t r);
+  /// A member host crashed before this op released its buffers. What the
+  /// crashed NIC still holds (copies, RC streams) is unknowable, so the op
+  /// keeps its blocks for good instead of returning them to the pool.
+  void pin_buffers() { pinned_ = true; }
+  /// True once the op has returned its buffers to the communicator's pool
+  /// (see symmetric_buffer). Its bytes stay readable until a later op
+  /// takes the blocks, i.e. verify() must run before the next op starts.
+  bool released() const { return released_; }
   /// Detector channel: `observer` has confirmed `peer` dead. Crash-tolerant
   /// ops override this to repair their rings; the default ignores it (P2P
   /// baselines are not crash-tolerant — their watchdog-free variants rely
@@ -387,6 +403,31 @@ class OpBase {
   /// callbacks behind failed().
   void fail_op(std::string error);
 
+  // --- symmetric buffers and the release rule -------------------------------
+  /// A buffer of at least `len` bytes at the same address on every rank,
+  /// taken from the communicator's pool. The op returns all its blocks once
+  /// it is done() and nothing it posted can still touch them. Only DMA
+  /// copies and RDMA Reads touch op memory after done(): copies go through
+  /// post_copy, and every Read is bracketed by wr_posted() / wr_completed()
+  /// from the moment it is queued. Sends and writes need no bracket: their
+  /// payload is snapshotted when each packet is built, RC retransmissions
+  /// resend those packets, and done() means every packet reached its
+  /// receiver. A WR that never completes (a crashed host, a silent dead QP)
+  /// keeps the blocks out of the pool for good.
+  std::uint64_t symmetric_buffer(std::uint64_t len);
+  /// Registers [addr, addr + len) on every rank under one fresh cluster-wide
+  /// rkey. Deregistered on every rank at release, which fences late UC
+  /// writes to the buffer (dropped at the responder as unknown-rkey).
+  std::uint32_t register_symmetric(std::uint64_t addr, std::uint64_t len);
+  void wr_posted() { ++wrs_in_flight_; }
+  void wr_completed();
+  /// Posts a DMA copy on rank `r`'s NIC, bracketed for the release rule;
+  /// `done` runs once the bytes have landed. Runs once per chunk on the UD
+  /// path: keep `done`'s captures small enough to stay inline.
+  template <typename Fn>
+  void post_copy(std::size_t r, std::uint64_t src, std::uint64_t dst,
+                 std::uint64_t len, Fn done);
+
   Communicator& comm_;
   std::string name_;
   std::uint16_t id_;
@@ -411,8 +452,15 @@ class OpBase {
   /// Notifies the communicator exactly once when the op transitions to
   /// done() (detector deactivation is refcounted on in-flight ops).
   void maybe_note_done();
+  /// Returns the op's blocks to the pool once the release rule holds.
+  void maybe_release();
   bool done_noted_ = false;
   std::function<void(OpBase&)> on_done_;
+  std::vector<SymmetricBlock> blocks_;
+  std::vector<std::uint32_t> rkeys_;
+  std::size_t wrs_in_flight_ = 0;
+  bool pinned_ = false;
+  bool released_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -469,12 +517,23 @@ class Communicator {
   void rebalance_subgroups();
   std::uint64_t subgroup_repins() const { return subgroup_repins_; }
   /// Aligns every member rank's host-memory bump pointer to the team-wide
-  /// max before an op's symmetric buffer allocations. A single-tenant
-  /// cluster is a no-op (all cursors already equal); with N communicators
-  /// on overlapping host sets it restores the identical-offset invariant
-  /// the mcast fetch layer and UC multicast writes rely on. Called on
-  /// every collective start.
+  /// max before a symmetric allocation. A single-tenant cluster is a no-op
+  /// (all cursors already equal); with N communicators on overlapping host
+  /// sets it restores the identical-offset invariant the mcast fetch layer
+  /// and UC multicast writes rely on. Called by acquire_block for every
+  /// fresh block.
   void align_symmetric_heap();
+  /// Symmetric buffer pool: the smallest free block of at least `len`
+  /// bytes, or else a fresh one — align_symmetric_heap() and then one bump
+  /// allocation of `len` per member rank, so its offset is identical on
+  /// every rank by construction. A reused block still holds an earlier
+  /// op's bytes.
+  SymmetricBlock acquire_block(std::uint64_t len);
+  /// Returns a block to the free list (OpBase's release rule).
+  void release_block(const SymmetricBlock& block);
+  /// Blocks the pool ever allocated, and how many are free right now.
+  std::size_t pool_blocks() const { return pool_blocks_; }
+  std::size_t pool_free_blocks() const { return free_blocks_.size(); }
   /// Physical truth from the fault plane: has this rank's host crashed?
   /// Used for op accounting and result reporting only — the protocol's own
   /// membership decisions go through the detector.
@@ -558,6 +617,10 @@ class Communicator {
   std::uint64_t subgroup_repins_ = 0;
   std::vector<char> host_crashed_;
   std::uint64_t crash_listener_id_ = 0;
+  // Free pool blocks, best fit first: length -> address. Ties resolve in
+  // release order, so reuse is deterministic.
+  std::multimap<std::uint64_t, std::uint64_t> free_blocks_;
+  std::size_t pool_blocks_ = 0;
   // Fast-path tag -> the newest op holding it (null: never bound).
   std::array<OpBase*, 256> tag_ops_{};
   std::uint8_t next_tag_ = 1;
@@ -571,5 +634,17 @@ class Communicator {
     return next_tag_++;
   }
 };
+
+template <typename Fn>
+void OpBase::post_copy(std::size_t r, std::uint64_t src, std::uint64_t dst,
+                       std::uint64_t len, Fn done) {
+  wr_posted();
+  auto landed = [this, done = std::move(done)]() mutable {
+    wr_completed();
+    done();
+  };
+  static_assert(sizeof(landed) <= sim::InlineCallback::kInlineBytes);
+  comm_.ep(r).nic().post_local_copy(src, dst, len, std::move(landed));
+}
 
 }  // namespace mccl::coll

@@ -30,7 +30,6 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
       schedule_(p_.roots.size(), std::min(comm.config().chains,
                                           p_.roots.size())),
       tag_(comm.bind_mcast_tag(*this)),
-      rkey_(comm.cluster().next_shared_rkey()),
       barrier_rounds_(ceil_log2(comm.size())) {
   const std::size_t P = comm_.size();
   MCCL_CHECK(P >= 2);
@@ -56,25 +55,21 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
     sg_indices_flat_[cursor[map_.subgroup_of(map_.id_of(0, i))]++] =
         static_cast<std::uint32_t>(i);
 
+  // Symmetric buffers: identical offsets on every rank let the fetch layer
+  // and UC multicast writes target one agreed remote address.
+  sendbuf_ = symmetric_buffer(p_.block_bytes);
+  recvbuf_ = symmetric_buffer(p_.block_bytes * map_.blocks);
+  rkey_ = register_symmetric(recvbuf_, p_.block_bytes * map_.blocks);
   st_.resize(P);
   const bool fill = comm_.data_mode();
   for (std::size_t r = 0; r < P; ++r) {
     RankState& s = st_[r];
-    Endpoint& ep = comm_.ep(r);
-    auto& mem = ep.nic().memory();
-    // Symmetric allocation: identical offsets on every rank let the fetch
-    // layer and UC multicast writes target one agreed remote address.
-    s.sendbuf = mem.alloc(p_.block_bytes);
-    s.recvbuf = mem.alloc(p_.block_bytes * map_.blocks);
-    MCCL_CHECK_MSG(s.recvbuf == st_[0].recvbuf,
-                   "asymmetric receive buffer allocation");
-    ep.nic().mrs().register_with_rkey(s.recvbuf,
-                                      p_.block_bytes * map_.blocks, rkey_);
     for (std::size_t b = 0; b < p_.roots.size(); ++b)
       if (p_.roots[b] == r) s.root_index = static_cast<int>(b);
     // Only a root's send buffer is ever read (its block goes out from it).
     if (fill && s.root_index >= 0)
-      fill_pattern(mem, s.sendbuf, p_.block_bytes, id(), r);
+      fill_pattern(comm_.ep(r).nic().memory(), sendbuf_, p_.block_bytes, id(),
+                   r);
 
     s.barrier_seen.assign(barrier_rounds_ == 0 ? 1 : barrier_rounds_, 0);
     s.barrier_credited.assign(barrier_rounds_ == 0 ? 1 : barrier_rounds_, 0);
@@ -124,10 +119,9 @@ void McastCollective::start() {
       // Roots place their own block into the receive region through the
       // local DMA engine (also the fetch-layer source of last resort).
       RankState& s = st_[r];
-      Endpoint& ep = comm_.ep(r);
       const std::uint64_t dst =
-          s.recvbuf + static_cast<std::size_t>(s.root_index) * p_.block_bytes;
-      ep.nic().post_local_copy(s.sendbuf, dst, p_.block_bytes, [this, r] {
+          recvbuf_ + static_cast<std::size_t>(s.root_index) * p_.block_bytes;
+      post_copy(r, sendbuf_, dst, p_.block_bytes, [this, r] {
         if (failed_ || rank_crashed(r)) return;
         RankState& s2 = st_[r];
         s2.local_copy_done = true;
@@ -260,13 +254,13 @@ void McastCollective::send_batch(std::size_t r, std::size_t sg,
       flags.has_imm = true;
       flags.signaled = last;  // doorbell batching: only the tail reports
       flags.wr_id = flags.imm;
-      const std::uint64_t laddr = s.sendbuf + map_.send_offset_of(id32);
+      const std::uint64_t laddr = sendbuf_ + map_.send_offset_of(id32);
       const std::uint32_t len = map_.len_of(id32);
       if (comm_.config().transport == Transport::kUd) {
         g.ud->post_send(rdma::UdDest::multicast(comm_.subgroup_group(sg)),
                         laddr, len, flags);
       } else {
-        const std::uint64_t raddr = s.recvbuf + map_.offset_of(id32);
+        const std::uint64_t raddr = recvbuf_ + map_.offset_of(id32);
         g.uc->post_write(laddr, len, raddr, rkey_, flags);
       }
     }
@@ -318,6 +312,15 @@ void McastCollective::on_subgroup_sent(std::size_t r, std::size_t sg) {
 void McastCollective::on_chunk(std::size_t r, std::uint32_t chunk,
                                std::size_t sg, const rdma::Cqe& cqe) {
   if (failed_ || rank_crashed(r)) return;
+  if (released()) {
+    // A straggler must not be copied into a buffer that another op may own
+    // by now. A UD chunk the op would still have accepted hands its staging
+    // slot back at once, as its copy callback would have.
+    if (cqe.opcode != rdma::CqeOpcode::kSend &&
+        comm_.config().transport == Transport::kUd && set_chunk(r, chunk))
+      comm_.ep(r).repost_staging(sg, cqe.wr_id);
+    return;
+  }
   if (cqe.opcode == rdma::CqeOpcode::kSend) {
     on_subgroup_sent(r, sg);
     return;
@@ -330,17 +333,15 @@ void McastCollective::on_chunk(std::size_t r, std::uint32_t chunk,
   if (comm_.config().transport == Transport::kUd) {
     // Staging -> user buffer copy through the NIC DMA engine; the staging
     // slot is reposted only once its bytes have drained.
-    Endpoint& ep = comm_.ep(r);
     const std::uint64_t slot = cqe.wr_id;
-    const std::uint64_t dst = s.recvbuf + map_.offset_of(chunk);
+    const std::uint64_t dst = recvbuf_ + map_.offset_of(chunk);
     ++s.pending_copies;
-    ep.nic().post_local_copy(slot, dst, map_.len_of(chunk),
-                             [this, r, sg, slot] {
-                               RankState& s2 = st_[r];
-                               --s2.pending_copies;
-                               comm_.ep(r).repost_staging(sg, slot);
-                               check_data_complete(r);
-                             });
+    post_copy(r, slot, dst, map_.len_of(chunk), [this, r, sg, slot] {
+      RankState& s2 = st_[r];
+      --s2.pending_copies;
+      comm_.ep(r).repost_staging(sg, slot);
+      check_data_complete(r);
+    });
   }
   check_data_complete(r);
 }
@@ -667,20 +668,24 @@ void McastCollective::on_fetch_ack(std::size_t r, std::size_t block,
   s.pending_fetches += missing.size();
   f.reads_outstanding = missing.size();
   for (const std::uint32_t id32 : missing) {
+    // Counted from the moment it is queued: multicast may fill the chunk
+    // and finish the op before the task runs, and the read must still find
+    // the buffer and rkey it names.
+    wr_posted();
     auto task = [this, r, src, id32] {
-      if (failed_ || rank_crashed(r)) return;
-      RankState& s2 = st_[r];
-      Endpoint& ep2 = comm_.ep(r);
+      if (failed_ || rank_crashed(r)) {
+        wr_completed();
+        return;
+      }
       rdma::SendFlags flags;
       flags.signaled = true;
       flags.wr_id = (static_cast<std::uint64_t>(id()) << 32) | id32;
       // Symmetric layout: the chunk lives at the same offset in the
       // ACKing rank's receive buffer (the left neighbor normally, a
       // further-left rank after failover).
-      ep2.data_qp(src).post_read(s2.recvbuf + map_.offset_of(id32),
-                                 map_.len_of(id32),
-                                 s2.recvbuf + map_.offset_of(id32), rkey_,
-                                 flags);
+      const std::uint64_t addr = recvbuf_ + map_.offset_of(id32);
+      comm_.ep(r).data_qp(src).post_read(addr, map_.len_of(id32), addr,
+                                         rkey_, flags);
     };
     // Per missing chunk: must stay inline in the worker queue.
     static_assert(sizeof(task) <= sim::InlineCallback::kInlineBytes);
@@ -689,6 +694,7 @@ void McastCollective::on_fetch_ack(std::size_t r, std::size_t block,
 }
 
 void McastCollective::on_send_done(std::size_t r, const rdma::Cqe& cqe) {
+  wr_completed();  // the read's bytes have landed
   RankState& s = st_[r];
   if (failed_ || rank_crashed(r)) return;
   MCCL_CHECK(cqe.opcode == rdma::CqeOpcode::kRead);
@@ -1354,7 +1360,7 @@ bool McastCollective::verify() const {
     const auto& mem = comm_.ep(r).nic().memory();
     for (std::size_t b = 0; b < p_.roots.size(); ++b) {
       if (s.block_abandoned[b]) continue;  // degraded completion: kPartial
-      if (!check_pattern(mem, s.recvbuf + b * p_.block_bytes, p_.block_bytes,
+      if (!check_pattern(mem, recvbuf_ + b * p_.block_bytes, p_.block_bytes,
                          id(), p_.roots[b]))
         return false;
     }

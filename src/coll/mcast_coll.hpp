@@ -18,7 +18,15 @@
 //             root), then selectively RDMA-Read the missing chunks
 //         ──► final handshake: send Final left, await Final from the right
 //             (the right neighbor may still fetch from us until then)
-//         ──► buffer released; rank done.
+//         ──► rank done.
+//
+// Buffers come from the communicator's symmetric pool (one send and one
+// receive block, the same offsets on every rank) and go back to it once the
+// whole op is done and every DMA copy and RDMA Read it queued has
+// completed. Release deregisters the op's rkey on every rank: a straggling
+// UC multicast write to the released range is dropped at the leaf, and
+// on_chunk copies no straggling UD chunk (it only reposts the staging
+// slot), so neither can reach the next op that takes the blocks.
 //
 // Hardening beyond the paper (fault injection, see fabric/faults.hpp): a
 // fetch request that is not ACKed is retried with exponential backoff; after
@@ -92,9 +100,8 @@ class McastCollective : public OpBase {
   void on_peer_slow(std::size_t observer, std::size_t peer,
                     bool slow) override;
 
-  std::uint64_t recvbuf_addr(std::size_t rank) const {
-    return st_[rank].recvbuf;
-  }
+  /// The receive buffer (the same address on every rank).
+  std::uint64_t recvbuf_addr() const { return recvbuf_; }
 
   /// Prints per-rank protocol state to stderr (diagnostic aid for stuck
   /// simulations).
@@ -149,8 +156,6 @@ class McastCollective : public OpBase {
   };
 
   struct RankState {
-    std::uint64_t sendbuf = 0;
-    std::uint64_t recvbuf = 0;
     int root_index = -1;  // block owned by this rank, -1 if leaf only
 
     // Barrier.
@@ -316,8 +321,10 @@ class McastCollective : public OpBase {
   ChunkMap map_;
   ChainSchedule schedule_;
   std::uint8_t tag_;
-  std::uint32_t rkey_;
   std::size_t barrier_rounds_;
+  std::uint64_t sendbuf_ = 0;  // symmetric: the same address on every rank
+  std::uint64_t recvbuf_ = 0;
+  std::uint32_t rkey_ = 0;     // recvbuf_'s registration, shared by all ranks
   std::vector<RankState> st_;
   // Block-local chunk indices per subgroup (shared by all blocks), CSR:
   // subgroup sg spans sg_indices_flat_[sg_off_[sg] .. sg_off_[sg + 1]).

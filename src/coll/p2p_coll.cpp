@@ -65,19 +65,18 @@ P2PBroadcast::P2PBroadcast(Communicator& comm, std::size_t root,
       algo_(algo) {
   const std::size_t P = comm.size();
   MCCL_CHECK(root < P && bytes > 0);
+  sendbuf_ = symmetric_buffer(bytes_);
+  recvbuf_ = symmetric_buffer(bytes_);
+  if (comm_.data_mode())
+    fill_pattern(comm_.ep(root_).nic().memory(), sendbuf_, bytes_, id(),
+                 root_);
   st_.resize(P);
-  const bool fill = comm_.data_mode();
   for (std::size_t r = 0; r < P; ++r) {
     RankState& s = st_[r];
-    Endpoint& ep = comm_.ep(r);
-    s.sendbuf = ep.nic().memory().alloc(bytes_);
-    s.recvbuf = ep.nic().memory().alloc(bytes_);
     const std::size_t v = (r + P - root_) % P;
     for (const std::size_t cv : tree_children(v, P, algo_))
       s.children.push_back((cv + root_) % P);
     if (v != 0) s.parent = static_cast<int>((tree_parent(v, algo_) + root_) % P);
-    if (fill && r == root_) fill_pattern(ep.nic().memory(), s.sendbuf, bytes_,
-                                         id(), root_);
   }
   // Op-owned tree edges; pre-post the receive on the child side (zero-copy:
   // directly into the user buffer — the RC rendezvous path).
@@ -86,7 +85,7 @@ P2PBroadcast::P2PBroadcast(Communicator& comm, std::size_t root,
       auto [pq, cq] = comm_.create_qp_pair(r, child);
       st_[r].child_qps.push_back(pq);
       st_[child].parent_qp = cq;
-      cq->post_recv({.wr_id = 0, .laddr = st_[child].recvbuf,
+      cq->post_recv({.wr_id = 0, .laddr = recvbuf_,
                      .len = static_cast<std::uint32_t>(bytes_)});
     }
   }
@@ -94,14 +93,12 @@ P2PBroadcast::P2PBroadcast(Communicator& comm, std::size_t root,
 
 void P2PBroadcast::start() {
   mark_started();
-  RankState& s = st_[root_];
-  comm_.ep(root_).nic().post_local_copy(s.sendbuf, s.recvbuf, bytes_,
-                                        [this] {
-                                          st_[root_].local_copy_done = true;
-                                          maybe_done(root_);
-                                        });
+  post_copy(root_, sendbuf_, recvbuf_, bytes_, [this] {
+    st_[root_].local_copy_done = true;
+    maybe_done(root_);
+  });
   st_[root_].received = true;
-  forward(root_, s.sendbuf);
+  forward(root_, sendbuf_);
 }
 
 void P2PBroadcast::forward(std::size_t r, std::uint64_t src_addr) {
@@ -131,7 +128,7 @@ void P2PBroadcast::on_send_done(std::size_t r, const rdma::Cqe& cqe) {
   const std::size_t child_idx = static_cast<std::uint32_t>(cqe.wr_id);
   if (child_idx + 1 < st_[r].children.size())
     send_to_child(r, child_idx + 1,
-                  r == root_ ? st_[r].sendbuf : st_[r].recvbuf);
+                  r == root_ ? sendbuf_ : recvbuf_);
 }
 
 void P2PBroadcast::on_ctrl(std::size_t r, const CtrlMsg& msg,
@@ -143,7 +140,7 @@ void P2PBroadcast::on_ctrl(std::size_t r, const CtrlMsg& msg,
   MCCL_CHECK(!s.received);
   s.received = true;
   s.local_copy_done = true;
-  forward(r, s.recvbuf);
+  forward(r, recvbuf_);
 }
 
 void P2PBroadcast::maybe_done(std::size_t r) {
@@ -158,7 +155,7 @@ void P2PBroadcast::maybe_done(std::size_t r) {
 bool P2PBroadcast::verify() const {
   if (!comm_.data_mode()) return true;
   for (std::size_t r = 0; r < comm_.size(); ++r) {
-    if (!check_pattern(comm_.ep(r).nic().memory(), st_[r].recvbuf, bytes_,
+    if (!check_pattern(comm_.ep(r).nic().memory(), recvbuf_, bytes_,
                        id(), root_))
       return false;
   }
@@ -174,14 +171,11 @@ RingAllgather::RingAllgather(Communicator& comm, std::uint64_t bytes)
   const std::size_t P = comm.size();
   MCCL_CHECK(P >= 2 && bytes > 0);
   st_.resize(P);
-  const bool fill = comm_.data_mode();
-  for (std::size_t r = 0; r < P; ++r) {
-    RankState& s = st_[r];
-    Endpoint& ep = comm_.ep(r);
-    s.sendbuf = ep.nic().memory().alloc(bytes_);
-    s.recvbuf = ep.nic().memory().alloc(bytes_ * P);
-    if (fill) fill_pattern(ep.nic().memory(), s.sendbuf, bytes_, id(), r);
-  }
+  sendbuf_ = symmetric_buffer(bytes_);
+  recvbuf_ = symmetric_buffer(bytes_ * P);
+  if (comm_.data_mode())
+    for (std::size_t r = 0; r < P; ++r)
+      fill_pattern(comm_.ep(r).nic().memory(), sendbuf_, bytes_, id(), r);
   // Op-owned ring edges; pre-post the P-1 receives toward the left
   // neighbor. RC delivers in order, and the left neighbor forwards blocks
   // (l), (l-1), ... so the landing offsets are known up front (zero-copy).
@@ -195,7 +189,7 @@ RingAllgather::RingAllgather(Communicator& comm, std::uint64_t bytes)
     for (std::size_t s = 0; s + 1 < P; ++s) {
       const std::size_t block = (r + P - 1 - s) % P;
       st_[r].qp_left->post_recv({.wr_id = s,
-                                 .laddr = st_[r].recvbuf + block * bytes_,
+                                 .laddr = recvbuf_ + block * bytes_,
                                  .len = static_cast<std::uint32_t>(bytes_)});
     }
   }
@@ -204,20 +198,18 @@ RingAllgather::RingAllgather(Communicator& comm, std::uint64_t bytes)
 void RingAllgather::start() {
   mark_started();
   for (std::size_t r = 0; r < comm_.size(); ++r) {
-    RankState& s = st_[r];
     Endpoint& ep = comm_.ep(r);
-    ep.nic().post_local_copy(s.sendbuf, s.recvbuf + r * bytes_, bytes_,
-                             [this, r] {
-                               st_[r].local_copy_done = true;
-                               maybe_done(r);
-                             });
+    post_copy(r, sendbuf_, recvbuf_ + r * bytes_, bytes_, [this, r] {
+      st_[r].local_copy_done = true;
+      maybe_done(r);
+    });
     // Step 0: inject our own block from the send buffer.
     ep.app_worker().post(ep.costs().control, [this, r] {
       rdma::SendFlags flags;
       flags.imm = encode_ctrl({CtrlType::kStep, id(), 0});
       flags.has_imm = true;
       flags.signaled = false;
-      st_[r].qp_right->post_send(st_[r].sendbuf, bytes_, flags);
+      st_[r].qp_right->post_send(sendbuf_, bytes_, flags);
     });
   }
 }
@@ -229,7 +221,7 @@ void RingAllgather::send_block(std::size_t r, std::size_t block) {
     flags.imm = encode_ctrl({CtrlType::kStep, id(), 0});
     flags.has_imm = true;
     flags.signaled = false;
-    st_[r].qp_right->post_send(st_[r].recvbuf + block * bytes_, bytes_,
+    st_[r].qp_right->post_send(recvbuf_ + block * bytes_, bytes_,
                                flags);
   });
 }
@@ -261,7 +253,7 @@ bool RingAllgather::verify() const {
   for (std::size_t r = 0; r < comm_.size(); ++r) {
     for (std::size_t b = 0; b < comm_.size(); ++b) {
       if (!check_pattern(comm_.ep(r).nic().memory(),
-                         st_[r].recvbuf + b * bytes_, bytes_, id(), b))
+                         recvbuf_ + b * bytes_, bytes_, id(), b))
         return false;
     }
   }
@@ -273,22 +265,16 @@ bool RingAllgather::verify() const {
 // ---------------------------------------------------------------------------
 
 LinearAllgather::LinearAllgather(Communicator& comm, std::uint64_t bytes)
-    : OpBase(comm, "linear_allgather"),
-      bytes_(bytes),
-      rkey_(comm.cluster().next_shared_rkey()) {
+    : OpBase(comm, "linear_allgather"), bytes_(bytes) {
   const std::size_t P = comm.size();
   MCCL_CHECK(P >= 2 && bytes > 0);
   st_.resize(P);
-  const bool fill = comm_.data_mode();
-  for (std::size_t r = 0; r < P; ++r) {
-    RankState& s = st_[r];
-    Endpoint& ep = comm_.ep(r);
-    s.sendbuf = ep.nic().memory().alloc(bytes_);
-    s.recvbuf = ep.nic().memory().alloc(bytes_ * P);
-    MCCL_CHECK(s.recvbuf == st_[0].recvbuf);
-    ep.nic().mrs().register_with_rkey(s.recvbuf, bytes_ * P, rkey_);
-    if (fill) fill_pattern(ep.nic().memory(), s.sendbuf, bytes_, id(), r);
-  }
+  sendbuf_ = symmetric_buffer(bytes_);
+  recvbuf_ = symmetric_buffer(bytes_ * P);
+  rkey_ = register_symmetric(recvbuf_, bytes_ * P);
+  if (comm_.data_mode())
+    for (std::size_t r = 0; r < P; ++r)
+      fill_pattern(comm_.ep(r).nic().memory(), sendbuf_, bytes_, id(), r);
   // Op-owned all-to-all mesh; one write-with-imm credit per peer QP.
   for (std::size_t r = 0; r < P; ++r) st_[r].peer_qps.resize(P, nullptr);
   for (std::size_t r = 0; r < P; ++r) {
@@ -307,11 +293,10 @@ void LinearAllgather::start() {
   const std::size_t P = comm_.size();
   for (std::size_t r = 0; r < P; ++r) {
     Endpoint& ep = comm_.ep(r);
-    ep.nic().post_local_copy(st_[r].sendbuf, st_[r].recvbuf + r * bytes_,
-                             bytes_, [this, r] {
-                               st_[r].local_copy_done = true;
-                               maybe_done(r);
-                             });
+    post_copy(r, sendbuf_, recvbuf_ + r * bytes_, bytes_, [this, r] {
+      st_[r].local_copy_done = true;
+      maybe_done(r);
+    });
     for (std::size_t off = 1; off < P; ++off) {
       const std::size_t peer = (r + off) % P;
       ep.app_worker().post(ep.costs().control, [this, r, peer] {
@@ -319,8 +304,8 @@ void LinearAllgather::start() {
         flags.imm = encode_ctrl({CtrlType::kStep, id(), 0});
         flags.has_imm = true;
         flags.signaled = false;
-        st_[r].peer_qps[peer]->post_write(st_[r].sendbuf, bytes_,
-                                          st_[r].recvbuf + r * bytes_, rkey_,
+        st_[r].peer_qps[peer]->post_write(sendbuf_, bytes_,
+                                          recvbuf_ + r * bytes_, rkey_,
                                           flags);
       });
     }
@@ -351,7 +336,7 @@ bool LinearAllgather::verify() const {
   for (std::size_t r = 0; r < comm_.size(); ++r) {
     for (std::size_t b = 0; b < comm_.size(); ++b) {
       if (!check_pattern(comm_.ep(r).nic().memory(),
-                         st_[r].recvbuf + b * bytes_, bytes_, id(), b))
+                         recvbuf_ + b * bytes_, bytes_, id(), b))
         return false;
     }
   }

@@ -28,8 +28,6 @@ class P2PBroadcast : public OpBase {
 
  private:
   struct RankState {
-    std::uint64_t sendbuf = 0;
-    std::uint64_t recvbuf = 0;
     int parent = -1;
     std::vector<std::size_t> children;
     rdma::RcQp* parent_qp = nullptr;           // op-owned stream from parent
@@ -51,6 +49,8 @@ class P2PBroadcast : public OpBase {
   std::size_t root_;
   std::uint64_t bytes_;
   BcastAlgo algo_;
+  std::uint64_t sendbuf_ = 0;  // symmetric: the same address on every rank
+  std::uint64_t recvbuf_ = 0;
   std::vector<RankState> st_;
 };
 
@@ -65,8 +65,6 @@ class RingAllgather : public OpBase {
 
  private:
   struct RankState {
-    std::uint64_t sendbuf = 0;
-    std::uint64_t recvbuf = 0;
     std::size_t steps_done = 0;
     bool local_copy_done = false;
     bool op_done = false;
@@ -80,6 +78,8 @@ class RingAllgather : public OpBase {
   void maybe_done(std::size_t r);
 
   std::uint64_t bytes_;
+  std::uint64_t sendbuf_ = 0;  // symmetric: the same address on every rank
+  std::uint64_t recvbuf_ = 0;  // P blocks
   std::vector<RankState> st_;
 };
 
@@ -94,8 +94,6 @@ class LinearAllgather : public OpBase {
 
  private:
   struct RankState {
-    std::uint64_t sendbuf = 0;
-    std::uint64_t recvbuf = 0;
     std::size_t blocks_received = 0;
     bool local_copy_done = false;
     bool op_done = false;
@@ -107,7 +105,9 @@ class LinearAllgather : public OpBase {
   void maybe_done(std::size_t r);
 
   std::uint64_t bytes_;
-  std::uint32_t rkey_;
+  std::uint64_t sendbuf_ = 0;  // symmetric: the same address on every rank
+  std::uint64_t recvbuf_ = 0;  // P blocks
+  std::uint32_t rkey_ = 0;     // recvbuf_'s registration on every rank
   std::vector<RankState> st_;
 };
 

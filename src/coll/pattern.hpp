@@ -10,18 +10,32 @@
 
 namespace mccl::coll {
 
-/// Byte value at position `i` of a buffer seeded by (op, origin rank).
-/// Periodic in `i` with period 256.
-inline std::uint8_t pattern_byte(std::uint16_t op, std::size_t origin,
-                                 std::uint64_t i) {
-  return static_cast<std::uint8_t>(op * 197 + origin * 131 + i * 29 + 11);
+/// splitmix64's finalizer: a cheap 64-bit mix for seeding test data.
+inline std::uint64_t pattern_mix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
 }
 
-/// One tile of the (op, origin) pattern. A whole number of periods, so the
-/// byte at buffer offset i is tile[i % kPatternTile], and fill and verify
-/// run as memcpy/memcmp of the tile instead of byte by byte.
+/// Tile length of the test pattern: the byte at buffer offset i is
+/// tile[i % kPatternTile], so fill and verify run as memcpy/memcmp of one
+/// tile instead of byte by byte.
 inline constexpr std::size_t kPatternTile = 4096;
-static_assert(kPatternTile % 256 == 0);
+
+/// Byte value at position `i` of a buffer seeded by (op, origin rank).
+/// Periodic in `i` with period kPatternTile. Every tile byte comes from a
+/// hash of (op, origin, i % kPatternTile), so the tiles of two ops differ
+/// almost everywhere: a reused buffer that still holds an earlier op's
+/// bytes never passes check_pattern for a later one.
+inline std::uint8_t pattern_byte(std::uint16_t op, std::size_t origin,
+                                 std::uint64_t i) {
+  const std::uint64_t seed =
+      pattern_mix((std::uint64_t{op} << 32) ^ std::uint64_t{origin});
+  const std::uint64_t pos = i % kPatternTile;
+  return static_cast<std::uint8_t>(pattern_mix(seed + pos / 8) >>
+                                   (8 * (pos % 8)));
+}
 
 inline std::array<std::uint8_t, kPatternTile> pattern_tile(
     std::uint16_t op, std::size_t origin) {

@@ -7,11 +7,11 @@ namespace mccl::coll {
 
 namespace {
 void fill_rs_block(rdma::HostMemory& mem, std::uint64_t addr,
-                   std::uint64_t bytes, std::size_t origin,
+                   std::uint64_t bytes, std::uint16_t op, std::size_t origin,
                    std::size_t block) {
   float* p = reinterpret_cast<float*>(mem.at(addr, bytes));
   for (std::uint64_t i = 0; i < bytes / sizeof(float); ++i)
-    p[i] = rs_value(origin, block, i);
+    p[i] = rs_value(op, origin, block, i);
 }
 }  // namespace
 
@@ -31,17 +31,14 @@ RingReduceScatter::RingReduceScatter(Communicator& comm,
   const std::size_t P = comm.size();
   MCCL_CHECK(P >= 2 && bytes_ > 0 && bytes_ % sizeof(float) == 0);
   st_.resize(P);
-  const bool fill = comm_.data_mode();
-  for (std::size_t r = 0; r < P; ++r) {
-    RankState& s = st_[r];
-    Endpoint& ep = comm_.ep(r);
-    s.sendbuf = ep.nic().memory().alloc(bytes_ * P);
-    s.recvbuf = ep.nic().memory().alloc(bytes_);
-    s.scratch = ep.nic().memory().alloc(bytes_ * (P - 1));
-    if (fill)
+  sendbuf_ = symmetric_buffer(bytes_ * P);
+  recvbuf_ = symmetric_buffer(bytes_);
+  scratch_ = symmetric_buffer(bytes_ * (P - 1));
+  if (comm_.data_mode())
+    for (std::size_t r = 0; r < P; ++r)
       for (std::size_t b = 0; b < P; ++b)
-        fill_rs_block(ep.nic().memory(), s.sendbuf + b * bytes_, bytes_, r, b);
-  }
+        fill_rs_block(comm_.ep(r).nic().memory(), sendbuf_ + b * bytes_,
+                      bytes_, id(), r, b);
   // Op-owned ring edges; (P-1) * segments in-order receives from the left
   // into distinct scratch slots (step-major, segment-minor order matches
   // the forwarding order, so landing addresses are known up front).
@@ -57,7 +54,7 @@ RingReduceScatter::RingReduceScatter(Communicator& comm,
       for (std::size_t g = 0; g < G; ++g) {
         st_[r].qp_left->post_recv(
             {.wr_id = step * G + g,
-             .laddr = st_[r].scratch + step * bytes_ + seg_off(g),
+             .laddr = scratch_ + step * bytes_ + seg_off(g),
              .len = static_cast<std::uint32_t>(seg_len(g))});
       }
     }
@@ -84,7 +81,7 @@ void RingReduceScatter::start() {
     // Step 0: inject our own copy of block (r-1), segment by segment.
     const std::size_t block = (r + P - 1) % P;
     for (std::size_t g = 0; g < num_segments(); ++g)
-      send_from(r, st_[r].sendbuf + block * bytes_ + seg_off(g), seg_len(g));
+      send_from(r, sendbuf_ + block * bytes_ + seg_off(g), seg_len(g));
   }
 }
 
@@ -122,8 +119,8 @@ void RingReduceScatter::on_ctrl(std::size_t r, const CtrlMsg& msg,
   const std::size_t step = idx / G;
   const std::size_t g = idx % G;
   const std::size_t block = (r + 2 * P - 2 - step) % P;
-  const std::uint64_t acc = s.scratch + step * bytes_ + seg_off(g);
-  const std::uint64_t own = s.sendbuf + block * bytes_ + seg_off(g);
+  const std::uint64_t acc = scratch_ + step * bytes_ + seg_off(g);
+  const std::uint64_t own = sendbuf_ + block * bytes_ + seg_off(g);
   const std::uint64_t len = seg_len(g);
   Endpoint& ep = comm_.ep(r);
   // Host-side reduction, pipelined at segment granularity.
@@ -142,7 +139,7 @@ void RingReduceScatter::on_ctrl(std::size_t r, const CtrlMsg& msg,
     MCCL_CHECK(block == r);
     if (comm_.data_mode()) {
       auto& mem = comm_.ep(r).nic().memory();
-      mem.write(s2.recvbuf + seg_off(g), mem.at(acc, len), len);
+      mem.write(recvbuf_ + seg_off(g), mem.at(acc, len), len);
     }
     if (++s2.finals_done == num_segments()) {
       s2.op_done = true;
@@ -157,10 +154,10 @@ bool RingReduceScatter::verify() const {
   const std::size_t P = comm_.size();
   for (std::size_t r = 0; r < P; ++r) {
     const float* got = reinterpret_cast<const float*>(
-        comm_.ep(r).nic().memory().at(st_[r].recvbuf, bytes_));
+        comm_.ep(r).nic().memory().at(recvbuf_, bytes_));
     for (std::uint64_t i = 0; i < bytes_ / sizeof(float); ++i) {
       float want = 0;
-      for (std::size_t o = 0; o < P; ++o) want += rs_value(o, r, i);
+      for (std::size_t o = 0; o < P; ++o) want += rs_value(id(), o, r, i);
       if (got[i] != want) return false;
     }
   }
@@ -189,15 +186,16 @@ IncReduceScatter::IncReduceScatter(Communicator& comm,
   session_ = comm_.cluster().inc().create_session(scfg);
 
   st_.resize(P);
+  sendbuf_ = symmetric_buffer(bytes_ * P);
+  recvbuf_ = symmetric_buffer(bytes_);
   const bool fill = comm_.data_mode();
   for (std::size_t r = 0; r < P; ++r) {
     RankState& s = st_[r];
     Endpoint& ep = comm_.ep(r);
-    s.sendbuf = ep.nic().memory().alloc(bytes_ * P);
-    s.recvbuf = ep.nic().memory().alloc(bytes_);
     if (fill)
       for (std::size_t b = 0; b < P; ++b)
-        fill_rs_block(ep.nic().memory(), s.sendbuf + b * bytes_, bytes_, r, b);
+        fill_rs_block(ep.nic().memory(), sendbuf_ + b * bytes_, bytes_, id(),
+                      r, b);
 
     // Reduced chunks arrive through a dedicated CQ so the receive worker
     // charges the per-chunk datapath cost before the result is consumed.
@@ -243,7 +241,6 @@ void IncReduceScatter::contribute_batch(std::size_t r, std::size_t peer_off,
       ep.send_costs().doorbell;
   ep.send_worker(0).post(cost, [this, r, peer_off, chunk, batch] {
     const std::size_t P = comm_.size();
-    RankState& s = st_[r];
     Endpoint& ep2 = comm_.ep(r);
     const std::size_t owner_rank = (r + peer_off) % P;
     const fabric::NodeId owner = comm_.ep(owner_rank).host();
@@ -256,7 +253,7 @@ void IncReduceScatter::contribute_batch(std::size_t r, std::size_t peer_off,
       fabric::Payload payload;
       if (comm_.data_mode()) {
         const std::uint8_t* src =
-            ep2.nic().memory().at(s.sendbuf + owner_rank * bytes_ + off, len);
+            ep2.nic().memory().at(sendbuf_ + owner_rank * bytes_ + off, len);
         payload = fabric::Payload::copy_of(src, len);
       }
       comm_.cluster().inc().contribute(
@@ -284,10 +281,10 @@ void IncReduceScatter::on_result(std::size_t r, const rdma::Cqe& cqe) {
     auto& mem = comm_.ep(r).nic().memory();
     const std::uint64_t off = static_cast<std::uint64_t>(chunk) * chunk_bytes_;
     const std::uint64_t len = cqe.byte_len;
-    float* dst = reinterpret_cast<float*>(mem.at(s.recvbuf + off, len));
+    float* dst = reinterpret_cast<float*>(mem.at(recvbuf_ + off, len));
     const float* net = reinterpret_cast<const float*>(it->second.data());
     const float* own = reinterpret_cast<const float*>(
-        mem.at(s.sendbuf + r * bytes_ + off, len));
+        mem.at(sendbuf_ + r * bytes_ + off, len));
     const std::size_t n = len / sizeof(float);
     for (std::size_t i = 0; i < n; ++i) dst[i] = net[i] + own[i];
     s.payloads.erase(it);
@@ -304,10 +301,10 @@ bool IncReduceScatter::verify() const {
   const std::size_t P = comm_.size();
   for (std::size_t r = 0; r < P; ++r) {
     const float* got = reinterpret_cast<const float*>(
-        comm_.ep(r).nic().memory().at(st_[r].recvbuf, bytes_));
+        comm_.ep(r).nic().memory().at(recvbuf_, bytes_));
     for (std::uint64_t i = 0; i < bytes_ / sizeof(float); ++i) {
       float want = 0;
-      for (std::size_t o = 0; o < P; ++o) want += rs_value(o, r, i);
+      for (std::size_t o = 0; o < P; ++o) want += rs_value(id(), o, r, i);
       if (got[i] != want) return false;
     }
   }

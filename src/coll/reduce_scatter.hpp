@@ -16,13 +16,18 @@
 #include <vector>
 
 #include "src/coll/communicator.hpp"
+#include "src/coll/pattern.hpp"
 
 namespace mccl::coll {
 
-/// Element value helpers: small integers so float accumulation is exact.
-inline float rs_value(std::size_t origin, std::size_t block,
+/// Element `elem` of `origin`'s contribution to `block` in op `op`: a small
+/// integer, so float accumulation is exact, drawn from a hash of all four,
+/// so a reused buffer still holding an earlier op's values never verifies.
+inline float rs_value(std::uint16_t op, std::size_t origin, std::size_t block,
                       std::uint64_t elem) {
-  return static_cast<float>((origin * 7 + block * 3 + elem) % 32);
+  const std::uint64_t key =
+      (std::uint64_t{op} << 48) ^ (std::uint64_t{origin} << 24) ^ block;
+  return static_cast<float>(pattern_mix(pattern_mix(key) + elem) % 32);
 }
 
 class RingReduceScatter : public OpBase {
@@ -34,9 +39,6 @@ class RingReduceScatter : public OpBase {
 
  private:
   struct RankState {
-    std::uint64_t sendbuf = 0;   // P blocks
-    std::uint64_t recvbuf = 0;   // 1 block (the result)
-    std::uint64_t scratch = 0;   // P-1 landing slots
     std::size_t segs_done = 0;   // pipelined segments processed
     std::size_t finals_done = 0;
     bool op_done = false;
@@ -54,6 +56,10 @@ class RingReduceScatter : public OpBase {
                   std::uint64_t own_addr, std::uint64_t len);
 
   std::uint64_t bytes_;
+  // Symmetric: the same addresses on every rank.
+  std::uint64_t sendbuf_ = 0;  // P blocks
+  std::uint64_t recvbuf_ = 0;  // 1 block (the result)
+  std::uint64_t scratch_ = 0;  // P-1 landing slots
   std::vector<RankState> st_;
 };
 
@@ -66,8 +72,6 @@ class IncReduceScatter : public OpBase {
 
  private:
   struct RankState {
-    std::uint64_t sendbuf = 0;
-    std::uint64_t recvbuf = 0;
     std::size_t chunks_done = 0;
     rdma::Cq* result_cq = nullptr;  // INC results, charged on a recv worker
     std::unordered_map<std::uint32_t, fabric::Payload> payloads;
@@ -82,6 +86,8 @@ class IncReduceScatter : public OpBase {
   std::uint32_t chunk_bytes_;
   std::size_t chunks_per_block_;
   inc::SessionId session_;
+  std::uint64_t sendbuf_ = 0;  // symmetric: P blocks
+  std::uint64_t recvbuf_ = 0;  // symmetric: 1 block (the result)
   std::vector<RankState> st_;
 };
 

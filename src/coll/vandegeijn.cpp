@@ -25,15 +25,11 @@ ScatterAllgatherBcast::ScatterAllgatherBcast(Communicator& comm,
   const std::size_t P = comm.size();
   MCCL_CHECK(root < P && bytes > 0);
   st_.resize(P);
-  const bool fill = comm_.data_mode();
-  for (std::size_t r = 0; r < P; ++r) {
-    RankState& s = st_[r];
-    Endpoint& ep = comm_.ep(r);
-    s.sendbuf = ep.nic().memory().alloc(bytes_);
-    s.recvbuf = ep.nic().memory().alloc(bytes_);
-    if (fill && r == root_)
-      fill_pattern(ep.nic().memory(), s.sendbuf, bytes_, id(), root_);
-  }
+  sendbuf_ = symmetric_buffer(bytes_);
+  recvbuf_ = symmetric_buffer(bytes_);
+  if (comm_.data_mode())
+    fill_pattern(comm_.ep(root_).nic().memory(), sendbuf_, bytes_, id(),
+                 root_);
 
   // Scatter tree: halving recursion over shifted rank space. Each edge is
   // an op-owned QP pair; the child pre-posts the receive for its whole
@@ -52,7 +48,7 @@ ScatterAllgatherBcast::ScatterAllgatherBcast(Communicator& comm,
     auto [pq, cq] = comm_.create_qp_pair(parent, child);
     st_[parent].scatter_sends.push_back(
         ScatterEdge{pq, mid, f.hi});
-    cq->post_recv({.laddr = st_[child].recvbuf + piece_off(mid),
+    cq->post_recv({.laddr = recvbuf_ + piece_off(mid),
                    .len = static_cast<std::uint32_t>(piece_off(f.hi) -
                                                      piece_off(mid))});
     st_[child].expects_scatter = true;
@@ -71,7 +67,7 @@ ScatterAllgatherBcast::ScatterAllgatherBcast(Communicator& comm,
     for (std::size_t step = 0; step + 1 < P; ++step) {
       const std::size_t piece = (v + P - 1 - step) % P;
       s.qp_left->post_recv(
-          {.laddr = s.recvbuf + piece_off(piece),
+          {.laddr = recvbuf_ + piece_off(piece),
            .len = static_cast<std::uint32_t>(piece_len(piece))});
     }
   }
@@ -91,18 +87,16 @@ std::uint64_t ScatterAllgatherBcast::piece_len(std::size_t piece) const {
 
 void ScatterAllgatherBcast::start() {
   mark_started();
-  RankState& s = st_[root_];
   // The root works from its send buffer: local copy into the receive
   // region, then scatter.
-  comm_.ep(root_).nic().post_local_copy(
-      s.sendbuf, s.recvbuf, bytes_, [this] {
-        st_[root_].local_copy_done = true;
-        // The root's ring sends read from the receive buffer, so they must
-        // wait for the local copy to land.
-        begin_ring(root_);
-        maybe_done(root_);
-      });
-  run_scatter(root_, st_[root_].sendbuf);
+  post_copy(root_, sendbuf_, recvbuf_, bytes_, [this] {
+    st_[root_].local_copy_done = true;
+    // The root's ring sends read from the receive buffer, so they must
+    // wait for the local copy to land.
+    begin_ring(root_);
+    maybe_done(root_);
+  });
+  run_scatter(root_, sendbuf_);
 }
 
 void ScatterAllgatherBcast::run_scatter(std::size_t r,
@@ -145,7 +139,7 @@ void ScatterAllgatherBcast::send_piece(std::size_t r, std::size_t piece) {
     flags.imm = encode_ctrl({CtrlType::kStep, id(), /*arg=*/0});
     flags.has_imm = true;
     flags.signaled = false;
-    st_[r].qp_right->post_send(st_[r].recvbuf + piece_off(piece),
+    st_[r].qp_right->post_send(recvbuf_ + piece_off(piece),
                                piece_len(piece), flags);
   });
 }
@@ -161,7 +155,7 @@ void ScatterAllgatherBcast::on_ctrl(std::size_t r, const CtrlMsg& msg,
     // Scatter range arrived: forward sub-ranges, then join the ring.
     MCCL_CHECK(s.expects_scatter && !s.scatter_received);
     s.scatter_received = true;
-    run_scatter(r, s.recvbuf);
+    run_scatter(r, recvbuf_);
     begin_ring(r);
     maybe_done(r);
     return;
@@ -193,7 +187,7 @@ void ScatterAllgatherBcast::maybe_done(std::size_t r) {
 bool ScatterAllgatherBcast::verify() const {
   if (!comm_.data_mode()) return true;
   for (std::size_t r = 0; r < comm_.size(); ++r) {
-    if (!check_pattern(comm_.ep(r).nic().memory(), st_[r].recvbuf, bytes_,
+    if (!check_pattern(comm_.ep(r).nic().memory(), recvbuf_, bytes_,
                        id(), root_))
       return false;
   }
@@ -215,15 +209,15 @@ RecDoublingAllgather::RecDoublingAllgather(Communicator& comm,
   while ((std::size_t{1} << rounds_) < P) ++rounds_;
 
   st_.resize(P);
+  sendbuf_ = symmetric_buffer(bytes_);
+  recvbuf_ = symmetric_buffer(bytes_ * P);
   const bool fill = comm_.data_mode();
   for (std::size_t r = 0; r < P; ++r) {
     RankState& s = st_[r];
-    Endpoint& ep = comm_.ep(r);
-    s.sendbuf = ep.nic().memory().alloc(bytes_);
-    s.recvbuf = ep.nic().memory().alloc(bytes_ * P);
     s.partner_qps.resize(rounds_, nullptr);
     s.seen.assign(rounds_, 0);
-    if (fill) fill_pattern(ep.nic().memory(), s.sendbuf, bytes_, id(), r);
+    if (fill)
+      fill_pattern(comm_.ep(r).nic().memory(), sendbuf_, bytes_, id(), r);
   }
   // One QP pair per (rank, round); pre-post the partner's range for each
   // round — ranges are deterministic from the rank bits.
@@ -240,7 +234,7 @@ RecDoublingAllgather::RecDoublingAllgather(Communicator& comm,
       const std::size_t partner = r ^ dist;
       const std::size_t base = partner & ~(dist - 1);
       st_[r].partner_qps[k]->post_recv(
-          {.laddr = st_[r].recvbuf + base * bytes_,
+          {.laddr = recvbuf_ + base * bytes_,
            .len = static_cast<std::uint32_t>(dist * bytes_)});
     }
   }
@@ -249,11 +243,10 @@ RecDoublingAllgather::RecDoublingAllgather(Communicator& comm,
 void RecDoublingAllgather::start() {
   mark_started();
   for (std::size_t r = 0; r < comm_.size(); ++r) {
-    comm_.ep(r).nic().post_local_copy(
-        st_[r].sendbuf, st_[r].recvbuf + r * bytes_, bytes_, [this, r] {
-          st_[r].local_copy_done = true;
-          send_round(r);  // round 0 needs the own block in place
-        });
+    post_copy(r, sendbuf_, recvbuf_ + r * bytes_, bytes_, [this, r] {
+      st_[r].local_copy_done = true;
+      send_round(r);  // round 0 needs the own block in place
+    });
   }
 }
 
@@ -270,7 +263,7 @@ void RecDoublingAllgather::send_round(std::size_t r) {
                              static_cast<std::uint16_t>(k)});
     flags.has_imm = true;
     flags.signaled = false;
-    st_[r].partner_qps[k]->post_send(st_[r].recvbuf + base * bytes_,
+    st_[r].partner_qps[k]->post_send(recvbuf_ + base * bytes_,
                                      dist * bytes_, flags);
   });
 }
@@ -302,7 +295,7 @@ bool RecDoublingAllgather::verify() const {
   for (std::size_t r = 0; r < comm_.size(); ++r) {
     for (std::size_t b = 0; b < comm_.size(); ++b) {
       if (!check_pattern(comm_.ep(r).nic().memory(),
-                         st_[r].recvbuf + b * bytes_, bytes_, id(), b))
+                         recvbuf_ + b * bytes_, bytes_, id(), b))
         return false;
     }
   }

@@ -26,8 +26,6 @@ class ScatterAllgatherBcast : public OpBase {
   };
 
   struct RankState {
-    std::uint64_t sendbuf = 0;
-    std::uint64_t recvbuf = 0;
     std::vector<ScatterEdge> scatter_sends;
     bool expects_scatter = false;
     bool scatter_received = false;
@@ -53,6 +51,8 @@ class ScatterAllgatherBcast : public OpBase {
 
   std::size_t root_;
   std::uint64_t bytes_;
+  std::uint64_t sendbuf_ = 0;  // symmetric: the same address on every rank
+  std::uint64_t recvbuf_ = 0;
   std::vector<RankState> st_;
 };
 
@@ -65,8 +65,6 @@ class RecDoublingAllgather : public OpBase {
 
  private:
   struct RankState {
-    std::uint64_t sendbuf = 0;
-    std::uint64_t recvbuf = 0;
     std::size_t round = 0;
     std::vector<std::size_t> seen;  // early arrivals per round
     bool local_copy_done = false;
@@ -80,6 +78,8 @@ class RecDoublingAllgather : public OpBase {
 
   std::uint64_t bytes_;
   std::size_t rounds_ = 0;
+  std::uint64_t sendbuf_ = 0;  // symmetric: the same address on every rank
+  std::uint64_t recvbuf_ = 0;  // P blocks
   std::vector<RankState> st_;
 };
 

@@ -51,7 +51,8 @@ class HostMemory {
   std::uint64_t capacity() const { return capacity_; }
   bool backed() const { return backed_; }
 
-  /// Bump allocation; simulation arenas are never freed piecemeal. Backing
+  /// Bump allocation; the arena never frees piecemeal (a communicator's
+  /// buffer pool recycles the ranges it took from here). Backing
   /// storage is reserved once, faulted in on first touch: pages nobody
   /// writes cost nothing and read as 0. Buffers of at least one huge page
   /// get a transparent-huge-page hint; staging and control allocations stay
@@ -87,7 +88,7 @@ class HostMemory {
   /// conservatively invalidated.
   std::uint8_t* at(std::uint64_t addr, std::uint64_t len) {
     check_range(addr, len);
-    for (Snapshot& s : snaps_) s.data = nullptr;
+    for (Snapshot& s : snaps_) s.valid = false;
     return bytes_ + addr;
   }
   const std::uint8_t* at(std::uint64_t addr, std::uint64_t len) const {
@@ -101,9 +102,8 @@ class HostMemory {
     // packets holding slices keep the pre-write bytes (by design — they
     // were "serialized" when the send was pumped).
     for (Snapshot& s : snaps_) {
-      if (s.data != nullptr && addr < s.base + s.data->size() &&
-          addr + len > s.base)
-        s.data = nullptr;
+      if (s.valid && addr < s.base + s.data->size() && addr + len > s.base)
+        s.valid = false;
     }
     std::copy(src, src + len, bytes_ + addr);
   }
@@ -116,15 +116,16 @@ class HostMemory {
   /// Zero-copy send path: an immutable shared slice of this arena's bytes
   /// as of now. Slices are cut from a small LRU cache of window-sized
   /// snapshot copies, so a burst of segment sends from one buffer costs one
-  /// memcpy total instead of one per packet. The bump allocator never
-  /// reuses addresses, and at()/write() invalidate overlapping windows, so
-  /// a cache hit always serves current bytes.
+  /// memcpy total instead of one per packet. at() and write() invalidate
+  /// overlapping windows, so a cache hit always serves current bytes, also
+  /// after a range is handed to a new owner (the communicators' buffer
+  /// pools reuse ranges). An evicted window whose bytes no packet holds any
+  /// more is refilled in place: a steady send stream allocates nothing.
   fabric::Payload snapshot_slice(std::uint64_t addr, std::uint64_t len) {
     check_range(addr, len);
     ++snap_clock_;
     for (Snapshot& s : snaps_) {
-      if (s.data != nullptr && addr >= s.base &&
-          addr + len <= s.base + s.data->size()) {
+      if (s.valid && addr >= s.base && addr + len <= s.base + s.data->size()) {
         s.last_use = snap_clock_;
         return fabric::Payload(s.data, addr - s.base, len);
       }
@@ -134,14 +135,18 @@ class HostMemory {
         std::min(std::max(addr + len, base + kSnapshotWindow), brk_);
     Snapshot* victim = &snaps_[0];
     for (Snapshot& s : snaps_) {
-      if (s.data == nullptr) {
+      if (!s.valid) {
         victim = &s;
         break;
       }
       if (s.last_use < victim->last_use) victim = &s;
     }
-    victim->data = std::make_shared<std::vector<std::uint8_t>>(bytes_ + base,
-                                                               bytes_ + end);
+    if (victim->data != nullptr && victim->data.use_count() == 1)
+      victim->data->assign(bytes_ + base, bytes_ + end);
+    else
+      victim->data = std::make_shared<std::vector<std::uint8_t>>(
+          bytes_ + base, bytes_ + end);
+    victim->valid = true;
     victim->base = base;
     victim->last_use = snap_clock_;
     return fabric::Payload(victim->data, addr - base, len);
@@ -149,7 +154,9 @@ class HostMemory {
 
  private:
   struct Snapshot {
+    // Kept after invalidation (`valid` false) so the storage can be reused.
     std::shared_ptr<std::vector<std::uint8_t>> data;
+    bool valid = false;
     std::uint64_t base = 0;
     std::uint64_t last_use = 0;
   };
@@ -225,6 +232,13 @@ class MrTable {
   }
 
   bool has_rkey(std::uint32_t rkey) const { return by_rkey_.contains(rkey); }
+
+  /// Invalidates a registration: later remote accesses naming `rkey` find
+  /// no region (how the collectives fence late traffic to released
+  /// buffers).
+  void deregister(std::uint32_t rkey) {
+    MCCL_CHECK_MSG(by_rkey_.erase(rkey) == 1, "deregistering unknown rkey");
+  }
 
  private:
   std::uint32_t next_key_ = 1;

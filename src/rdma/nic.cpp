@@ -192,6 +192,14 @@ std::uint64_t Nic::uc_broken_messages() const {
   return total;
 }
 
+std::uint64_t Nic::uc_rkey_drops() const {
+  std::uint64_t total = 0;
+  for (const auto& qp : qps_)
+    if (auto* uc = dynamic_cast<const UcQp*>(qp.get()))
+      total += uc->rkey_drops();
+  return total;
+}
+
 std::uint64_t Nic::rc_retransmissions() const {
   std::uint64_t total = 0;
   for (const auto& qp : qps_)

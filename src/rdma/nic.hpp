@@ -139,6 +139,7 @@ class Nic {
   std::uint64_t ud_rnr_drops() const;
   std::uint64_t uc_rnr_drops() const;
   std::uint64_t uc_broken_messages() const;
+  std::uint64_t uc_rkey_drops() const;
   std::uint64_t rc_retransmissions() const;
   std::uint64_t dma_ops() const { return dma_ops_; }
   std::uint64_t dma_bytes() const { return dma_bytes_; }

@@ -246,6 +246,19 @@ void UcQp::on_packet(const fabric::PacketPtr& packet) {
   }
   const std::uint32_t len = packet->th.seg_len;
   if (len > 0) {
+    if (!nic_.mrs().has_rkey(th.rkey)) {
+      // A write to a deregistered region: UC has no NAK, so the responder
+      // silently drops the whole message (late traffic to a released
+      // collective buffer ends here).
+      r.broken = true;
+      ++rkey_drops_;
+      if (auto* t = nic_.telemetry())
+        t->recorder.record(nic_.engine().now(),
+                           static_cast<std::int32_t>(nic_.host()),
+                           telemetry::EventCat::kQp, "uc_rkey_drop", qpn_,
+                           th.rkey);
+      return;
+    }
     nic_.mrs().check_remote(th.rkey, th.raddr + th.seg_offset, len);
     if (!packet->payload.empty()) {
       MCCL_CHECK(packet->payload.size() == len);

@@ -164,6 +164,8 @@ class UcQp : public Qp {
 
   std::uint64_t broken_messages() const { return broken_messages_; }
   std::uint64_t rnr_drops() const { return rnr_drops_; }
+  /// Messages dropped because they named an rkey nobody has registered.
+  std::uint64_t rkey_drops() const { return rkey_drops_; }
 
  private:
   struct Reassembly {
@@ -181,6 +183,7 @@ class UcQp : public Qp {
   std::unordered_map<fabric::NodeId, Reassembly> reassembly_;
   std::uint64_t broken_messages_ = 0;
   std::uint64_t rnr_drops_ = 0;
+  std::uint64_t rkey_drops_ = 0;
 };
 
 // --------------------------------------------------------------------------

@@ -141,6 +141,75 @@ TEST(Pattern, CheckCatchesOneFlippedByte) {
   }
 }
 
+TEST(HostMemory, SnapshotOfReusedRangeServesTheNewBytes) {
+  // A range handed from one op to the next: the new owner's bytes must be
+  // what a later send snapshots, while a packet still holding the old
+  // snapshot keeps the old bytes.
+  HostMemory m(std::uint64_t{4} << 20);
+  constexpr std::uint64_t kLen = 3 * 4096 + 100;
+  const auto a = m.alloc(kLen);
+  coll::fill_pattern(m, a, kLen, /*op=*/1, /*origin=*/0);
+  const fabric::Payload held = m.snapshot_slice(a, kLen);
+  coll::fill_pattern(m, a, kLen, /*op=*/2, /*origin=*/0);
+  const fabric::Payload fresh = m.snapshot_slice(a + 4096, 4096);
+  for (std::uint64_t i = 0; i < 4096; ++i)
+    ASSERT_EQ(fresh.data()[i], coll::pattern_byte(2, 0, 4096 + i)) << i;
+  for (std::uint64_t i = 0; i < kLen; ++i)
+    ASSERT_EQ(held.data()[i], coll::pattern_byte(1, 0, i)) << i;
+}
+
+TEST(HostMemory, EvictedWindowStorageIsRefilledInPlace) {
+  // A window no packet holds any more is refilled in place on the next
+  // miss; one a packet still holds is left alone.
+  HostMemory m(std::uint64_t{4} << 20);
+  const auto a = m.alloc(4096);
+  coll::fill_pattern(m, a, 4096, 1, 0);
+  const std::uint8_t* storage = nullptr;
+  {
+    const fabric::Payload p = m.snapshot_slice(a, 4096);
+    storage = p.data();
+  }
+  coll::fill_pattern(m, a, 4096, 2, 0);  // invalidates the window
+  const fabric::Payload q = m.snapshot_slice(a, 4096);
+  EXPECT_EQ(q.data(), storage);
+  EXPECT_TRUE(std::equal(q.data(), q.data() + 4096,
+                         std::as_const(m).at(a, 4096)));
+  coll::fill_pattern(m, a, 4096, 3, 0);  // `q` still holds op 2's bytes
+  const fabric::Payload r = m.snapshot_slice(a, 4096);
+  EXPECT_NE(r.data(), q.data());
+  EXPECT_EQ(q.data()[0], coll::pattern_byte(2, 0, 0));
+  EXPECT_EQ(r.data()[0], coll::pattern_byte(3, 0, 0));
+}
+
+TEST(Pattern, TilesOfDifferentOpsDifferAlmostEverywhere) {
+  // Reused buffers keep an earlier op's bytes; check_pattern must reject
+  // them for any other (op, origin), including op ids 256 apart.
+  HostMemory m(1 << 20);
+  constexpr std::uint64_t kLen = 2 * 4096;
+  const auto a = m.alloc(kLen);
+  coll::fill_pattern(m, a, kLen, 7, 1);
+  for (const auto& [op, origin] :
+       {std::pair<std::uint16_t, std::size_t>{8, 1}, {7 + 256, 1}, {7, 2},
+        {6, 0}}) {
+    EXPECT_FALSE(coll::check_pattern(m, a, kLen, op, origin)) << op;
+    std::size_t same = 0;
+    for (std::uint64_t i = 0; i < kLen; ++i)
+      same += coll::pattern_byte(op, origin, i) == coll::pattern_byte(7, 1, i);
+    EXPECT_LT(same, kLen / 64) << op;  // ~1/256 by chance
+  }
+}
+
+TEST(MrTable, DeregisterForgetsTheRkey) {
+  MrTable t;
+  const auto mr = t.register_with_rkey(64, 256, 4242);
+  t.deregister(mr.rkey);
+  EXPECT_FALSE(t.has_rkey(4242));
+  EXPECT_DEATH(t.check_remote(4242, 64, 1), "unknown rkey");
+  EXPECT_DEATH(t.deregister(4242), "unknown rkey");
+  t.register_with_rkey(64, 256, 4242);  // the key may be registered again
+  EXPECT_TRUE(t.has_rkey(4242));
+}
+
 TEST(MrTable, SequentialKeys) {
   MrTable t;
   const auto a = t.register_region(0, 100);

@@ -76,6 +76,32 @@ TEST(UcQp, MultiPacketWriteWithImm) {
   EXPECT_EQ(w.send_cqs[0]->pop().opcode, CqeOpcode::kSend);
 }
 
+TEST(UcQp, WriteToDeregisteredRkeyIsDroppedAndCounted) {
+  // UC has no NAK: a write naming an rkey the responder no longer has is
+  // dropped whole and silently — no bytes land, no receive WR is consumed.
+  UcWorld w;
+  w.qps[0]->connect(1, w.qps[1]->qpn());
+  const std::size_t len = 3 * 4096;
+  const auto src = w.nics[0]->memory().alloc(len);
+  const auto dst = w.nics[1]->memory().alloc(len);
+  const auto mr = w.nics[1]->mrs().register_region(dst, len);
+  const auto data = pattern(len);
+  w.nics[0]->memory().write(src, data.data(), len);
+  w.nics[1]->mrs().deregister(mr.rkey);
+
+  w.qps[1]->post_recv({});
+  w.qps[0]->post_write(src, len, dst, mr.rkey, {.has_imm = true});
+  w.engine.run();
+
+  EXPECT_EQ(w.recv_cqs[1]->depth(), 0u);
+  EXPECT_EQ(w.qps[1]->recv_queue_depth(), 1u);
+  EXPECT_EQ(w.qps[1]->rkey_drops(), 1u);
+  EXPECT_EQ(w.nics[1]->uc_rkey_drops(), 1u);
+  EXPECT_EQ(w.qps[1]->broken_messages(), 0u);
+  EXPECT_EQ(bytes_at(w.nics[1]->memory(), dst, len),
+            std::vector<std::uint8_t>(len, 0));
+}
+
 TEST(UcQp, DroppedSegmentBreaksWholeMessage) {
   UcWorld w;
   w.qps[0]->connect(1, w.qps[1]->qpn());
