@@ -92,6 +92,10 @@ void set_sim_events(benchmark::State& state, std::uint64_t events) {
       static_cast<double>(events), benchmark::Counter::kAvgIterations);
 }
 
+void set_detector(benchmark::State& state, const coll::CommConfig& cfg) {
+  state.counters["detector"] = cfg.detector.enabled ? 1 : 0;
+}
+
 DatapathResult run_datapath(World& w, std::uint64_t bytes) {
   coll::Endpoint& leaf = w.comm->ep(1);
   for (std::size_t i = 0; i < leaf.num_recv_workers(); ++i)

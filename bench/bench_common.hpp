@@ -67,6 +67,10 @@ void set_gibps(benchmark::State& state, const char* name,
 /// rate counters there divide by *simulated* time).
 void set_sim_events(benchmark::State& state, std::uint64_t events);
 
+/// `detector` counter: 1 when the communicator's failure detector ran, else
+/// 0. The paper has no detector; its heartbeats share the measured fabric.
+void set_detector(benchmark::State& state, const coll::CommConfig& cfg);
+
 /// Prints a figure banner: what the paper shows, what to look for here.
 void banner(const char* figure, const char* expectation);
 

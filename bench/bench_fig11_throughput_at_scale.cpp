@@ -31,6 +31,7 @@ void BM_Bcast(benchmark::State& state) {
     bench::record_sim_time(state, dur);
   }
   bench::set_gbps(state, "per_rank_Gbit_s", bytes, dur);
+  bench::set_detector(state, cfg);
 }
 
 void BM_Allgather(benchmark::State& state) {
@@ -50,6 +51,7 @@ void BM_Allgather(benchmark::State& state) {
   }
   // Per-rank receive throughput: each rank ingests (P-1)*N.
   bench::set_gbps(state, "per_rank_recv_Gbit_s", bytes * (kRanks - 1), dur);
+  bench::set_detector(state, cfg);
 }
 
 void register_all() {

@@ -59,6 +59,7 @@ void BM_Fig12(benchmark::State& state) {
   state.counters["switch_port_MiB"] =
       static_cast<double>(switch_bytes) / MiB;
   state.counters["fabric_MiB"] = static_cast<double>(total_bytes) / MiB;
+  bench::set_detector(state, cfg);
 }
 
 void register_all() {

@@ -275,14 +275,13 @@ void Communicator::rebalance_subgroups() {
     fab.set_mcast_group_rail(groups_[s], best);
     ++subgroup_repins_;
     MCCL_VALIDATE_THAT(
-        subgroup_repins_ <=
-            static_cast<std::uint64_t>(config_.adapt.max_transitions) *
-                groups_.size(),
+        subgroup_repins_ <= std::uint64_t{kMaxHealthTransitions} *
+                                groups_.size(),
         "adapt.oscillation",
         "subgroup re-pins (%llu) exceed %u per subgroup — rail health is "
         "flapping through the re-balancer",
         static_cast<unsigned long long>(subgroup_repins_),
-        config_.adapt.max_transitions);
+        kMaxHealthTransitions);
     telemetry::Telemetry& te = cluster_.telemetry();
     te.metrics.counter("coll.adapt.subgroup_repins").add(1);
     te.recorder.record(cluster_.engine().now(), -1,
@@ -367,12 +366,6 @@ OpBase& Communicator::start_allgather(std::uint64_t bytes,
     case AllgatherAlgo::kRing:
       ops_.push_back(std::make_unique<RingAllgather>(*this, bytes));
       break;
-    case AllgatherAlgo::kLinear:
-      ops_.push_back(std::make_unique<LinearAllgather>(*this, bytes));
-      break;
-    case AllgatherAlgo::kRecDoubling:
-      ops_.push_back(std::make_unique<RecDoublingAllgather>(*this, bytes));
-      break;
   }
   ops_.back()->start();
   return *ops_.back();
@@ -384,12 +377,6 @@ OpBase& Communicator::start_reduce_scatter(std::uint64_t block_bytes,
     ops_.push_back(std::make_unique<RingReduceScatter>(*this, block_bytes));
   else
     ops_.push_back(std::make_unique<IncReduceScatter>(*this, block_bytes));
-  ops_.back()->start();
-  return *ops_.back();
-}
-
-OpBase& Communicator::start_barrier() {
-  ops_.push_back(std::make_unique<BarrierOp>(*this));
   ops_.back()->start();
   return *ops_.back();
 }
@@ -468,7 +455,5 @@ OpResult Communicator::reduce_scatter(std::uint64_t block_bytes,
                                       ReduceScatterAlgo algo) {
   return finish(start_reduce_scatter(block_bytes, algo));
 }
-
-OpResult Communicator::barrier() { return finish(start_barrier()); }
 
 }  // namespace mccl::coll

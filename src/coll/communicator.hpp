@@ -179,15 +179,12 @@ enum class BcastAlgo : std::uint8_t {
   kMcast,       // the paper's multicast Broadcast
   kBinomial,    // k-nomial tree (radix 2), whole-message forwarding
   kBinaryTree,  // balanced binary tree
-  kLinear,      // root unicasts to every peer
   kScatterAllgather,  // van de Geijn: binomial scatter + ring allgather —
                       // the production large-message algorithm
 };
 enum class AllgatherAlgo : std::uint8_t {
-  kMcast,        // the paper's bandwidth-optimal composition of Broadcasts
-  kRing,         // NCCL-style ring
-  kLinear,       // all-to-all writes
-  kRecDoubling,  // recursive doubling (power-of-two rank counts)
+  kMcast,  // the paper's bandwidth-optimal composition of Broadcasts
+  kRing,   // NCCL-style ring
 };
 enum class ReduceScatterAlgo : std::uint8_t { kRing, kInc };
 
@@ -243,7 +240,8 @@ class Endpoint {
   };
   Subgroup& subgroup(std::size_t s) { return subgroups_[s]; }
   std::size_t num_subgroups() const { return subgroups_.size(); }
-  /// Reposts a UD staging slot after its copy drained (UD datapath step 4).
+  /// Reposts a UD staging slot once nothing reads it any more (UD datapath
+  /// step 4).
   void repost_staging(std::size_t subgroup, std::uint64_t slot_addr);
   /// Tops up the zero-length receive WRs consumed by UC write-with-imm.
   void top_up_uc_recvs(std::size_t subgroup);
@@ -386,9 +384,13 @@ class OpBase {
                        const rdma::Cqe& cqe);
   /// Fast-path chunk completion (receive, or the send's own completion)
   /// carrying the multicast tag this op holds; runs on rank `r`'s worker
-  /// after the per-CQE datapath cost has been charged.
-  virtual void on_chunk(std::size_t /*r*/, std::uint32_t /*chunk*/,
-                        std::size_t /*sg*/, const rdma::Cqe& /*cqe*/) {}
+  /// after the per-CQE datapath cost has been charged. Returns true when
+  /// the op keeps the chunk's UD staging slot, which it then reposts once
+  /// its copy drains; the Endpoint reposts every other slot at once.
+  virtual bool on_chunk(std::size_t /*r*/, std::uint32_t /*chunk*/,
+                        std::size_t /*sg*/, const rdma::Cqe& /*cqe*/) {
+    return false;
+  }
   /// Signaled data-plane send or RDMA Read completion whose wr_id names
   /// this op (wr_id >> 32). Ops that do not track them ignore it.
   virtual void on_send_done(std::size_t /*r*/, const rdma::Cqe& /*cqe*/) {}
@@ -561,13 +563,11 @@ class Communicator {
   OpBase& start_allgather(std::uint64_t bytes, AllgatherAlgo algo);
   OpBase& start_reduce_scatter(std::uint64_t block_bytes,
                                ReduceScatterAlgo algo);
-  OpBase& start_barrier();
 
   // --- blocking API ----------------------------------------------------------
   OpResult broadcast(std::size_t root, std::uint64_t bytes, BcastAlgo algo);
   OpResult allgather(std::uint64_t bytes, AllgatherAlgo algo);
   OpResult reduce_scatter(std::uint64_t block_bytes, ReduceScatterAlgo algo);
-  OpResult barrier();
 
   /// Runs the simulation until `op` completes and builds its result.
   OpResult finish(OpBase& op);

@@ -201,20 +201,26 @@ void Endpoint::on_data_send_cqe(const rdma::Cqe& cqe) {
 }
 
 void Endpoint::on_chunk_cqe(std::size_t subgroup, const rdma::Cqe& cqe) {
+  Subgroup& g = subgroups_[subgroup];
+  const bool recv = cqe.opcode != rdma::CqeOpcode::kSend;
   std::uint32_t imm;
-  if (cqe.opcode == rdma::CqeOpcode::kSend) {
+  if (!recv) {
     imm = static_cast<std::uint32_t>(cqe.wr_id);
   } else {
     MCCL_CHECK(cqe.has_imm);
     imm = cqe.imm;
-    Subgroup& g = subgroups_[subgroup];
     MCCL_CHECK(g.posted > 0);
     --g.posted;
     if (g.uc != nullptr) top_up_uc_recvs(subgroup);
   }
+  // A tag never bound has nothing to deliver to.
   OpBase* op = comm_.tag_ops_[imm_op_tag(imm)];
-  if (op == nullptr) return;  // tag never bound: nothing to deliver to
-  op->on_chunk(rank_, imm_chunk(imm), subgroup, cqe);
+  const bool kept =
+      op != nullptr && op->on_chunk(rank_, imm_chunk(imm), subgroup, cqe);
+  // Every UD staging slot the op does not keep for a copy (a duplicate, a
+  // straggler of a released or failed op, an unbound tag) goes straight
+  // back to the receive queue.
+  if (recv && !kept && g.ud != nullptr) repost_staging(subgroup, cqe.wr_id);
 }
 // mccl-lint: end-hot
 

@@ -149,11 +149,11 @@ void HealthMonitor::set_slow(std::size_t observer, std::size_t peer,
   ++h.transitions;
   // A pair flipping more often than the bound means the hysteresis band is
   // too narrow for the signal (or a policy feeds back into its own input).
-  MCCL_VALIDATE_THAT(h.transitions <= cfg_.max_transitions,
+  MCCL_VALIDATE_THAT(h.transitions <= kMaxHealthTransitions,
                      "adapt.oscillation",
                      "observer %zu flipped peer %zu slow-state %u times "
                      "(bound %u)",
-                     observer, peer, h.transitions, cfg_.max_transitions);
+                     observer, peer, h.transitions, kMaxHealthTransitions);
   if (slow) {
     ++slow_marks_;
     ctr_slow_marks_->add(1);
@@ -246,11 +246,11 @@ void HealthMonitor::sample_links() {
           lh.bad_windows = 0;
           lh.good_windows = 0;
           ++lh.transitions;
-          MCCL_VALIDATE_THAT(lh.transitions <= cfg_.max_transitions,
+          MCCL_VALIDATE_THAT(lh.transitions <= kMaxHealthTransitions,
                              "adapt.oscillation",
                              "link dir %zu flipped health %u times (bound "
                              "%u)",
-                             dir, lh.transitions, cfg_.max_transitions);
+                             dir, lh.transitions, kMaxHealthTransitions);
           ++link_deweights_;
           ctr_link_deweights_->add(1);
           comm_.cluster().telemetry().recorder.record(

@@ -35,7 +35,7 @@
 // Everything is driven by engine events at simulated times with
 // deterministic inputs, so identical seeds replay bit-identically. The
 // validator plane guards the policies: "adapt.oscillation" fires when one
-// peer or direction flips state more than `max_transitions` times
+// peer or direction flips state more than kMaxHealthTransitions times
 // (hysteresis misconfigured or a feedback loop), and the collectives'
 // "adapt.ownership_conservation" checks every slow re-root decision names
 // an alive full holder.
@@ -55,6 +55,10 @@ namespace mccl::coll {
 
 class Communicator;
 
+/// Validator bound ("adapt.oscillation"): state flips per peer pair or per
+/// direction beyond this report a violation in MCCL_VALIDATE builds.
+constexpr std::uint32_t kMaxHealthTransitions = 8;
+
 struct HealthConfig {
   /// Master switch: when false the communicator builds no monitor and all
   /// adaptation policies are inert (the static baseline).
@@ -62,9 +66,6 @@ struct HealthConfig {
   /// Link-direction windows with fewer packets than this carry no drop
   /// signal (health_monitor.cpp holds the fixed thresholds and weights).
   std::uint64_t min_window_packets = 16;
-  /// Validator bound ("adapt.oscillation"): state flips per peer pair or
-  /// per direction beyond this report a violation in MCCL_VALIDATE builds.
-  std::uint32_t max_transitions = 8;
   /// Seeds the link-sampler phase.
   std::uint64_t seed = 1;
 };

@@ -309,27 +309,21 @@ void McastCollective::on_subgroup_sent(std::size_t r, std::size_t sg) {
 // Receive path
 // --------------------------------------------------------------------------
 
-void McastCollective::on_chunk(std::size_t r, std::uint32_t chunk,
+bool McastCollective::on_chunk(std::size_t r, std::uint32_t chunk,
                                std::size_t sg, const rdma::Cqe& cqe) {
-  if (failed_ || rank_crashed(r)) return;
-  if (released()) {
-    // A straggler must not be copied into a buffer that another op may own
-    // by now. A UD chunk the op would still have accepted hands its staging
-    // slot back at once, as its copy callback would have.
-    if (cqe.opcode != rdma::CqeOpcode::kSend &&
-        comm_.config().transport == Transport::kUd && set_chunk(r, chunk))
-      comm_.ep(r).repost_staging(sg, cqe.wr_id);
-    return;
-  }
+  // A straggler must not be copied into a buffer that another op may own
+  // by now.
+  if (failed_ || rank_crashed(r) || released()) return false;
   if (cqe.opcode == rdma::CqeOpcode::kSend) {
     on_subgroup_sent(r, sg);
-    return;
+    return false;
   }
   RankState& s = st_[r];
   MCCL_CHECK_MSG(static_cast<int>(map_.block_of(chunk)) != s.root_index,
                  "received a chunk of our own block");
-  if (!set_chunk(r, chunk)) return;  // duplicate (fetch/late-arrival race)
+  if (!set_chunk(r, chunk)) return false;  // duplicate (fetch/late race)
 
+  bool keeps_slot = false;
   if (comm_.config().transport == Transport::kUd) {
     // Staging -> user buffer copy through the NIC DMA engine; the staging
     // slot is reposted only once its bytes have drained.
@@ -342,8 +336,10 @@ void McastCollective::on_chunk(std::size_t r, std::uint32_t chunk,
       comm_.ep(r).repost_staging(sg, slot);
       check_data_complete(r);
     });
+    keeps_slot = true;
   }
   check_data_complete(r);
+  return keeps_slot;
 }
 
 bool McastCollective::set_chunk(std::size_t r, std::uint32_t id) {

@@ -25,7 +25,7 @@
 // whole op is done and every DMA copy and RDMA Read it queued has
 // completed. Release deregisters the op's rkey on every rank: a straggling
 // UC multicast write to the released range is dropped at the leaf, and
-// on_chunk copies no straggling UD chunk (it only reposts the staging
+// on_chunk copies no straggling UD chunk (the Endpoint reposts its staging
 // slot), so neither can reach the next op that takes the blocks.
 //
 // Hardening beyond the paper (fault injection, see fabric/faults.hpp): a
@@ -244,7 +244,7 @@ class McastCollective : public OpBase {
   void on_subgroup_sent(std::size_t r, std::size_t sg);
 
   // Receive path.
-  void on_chunk(std::size_t r, std::uint32_t chunk, std::size_t sg,
+  bool on_chunk(std::size_t r, std::uint32_t chunk, std::size_t sg,
                 const rdma::Cqe& cqe) override;
   bool set_chunk(std::size_t r, std::uint32_t id);
   void check_data_complete(std::size_t r);

@@ -1,7 +1,5 @@
 #include "src/coll/p2p_coll.hpp"
 
-#include <algorithm>
-
 #include "src/coll/pattern.hpp"
 
 namespace mccl::coll {
@@ -27,10 +25,6 @@ std::vector<std::size_t> tree_children(std::size_t v, std::size_t P,
       if (2 * v + 1 < P) out.push_back(2 * v + 1);
       if (2 * v + 2 < P) out.push_back(2 * v + 2);
       break;
-    case BcastAlgo::kLinear:
-      if (v == 0)
-        for (std::size_t i = 1; i < P; ++i) out.push_back(i);
-      break;
     default:
       MCCL_CHECK_MSG(false, "not a P2P broadcast algorithm");
   }
@@ -44,8 +38,6 @@ std::size_t tree_parent(std::size_t v, BcastAlgo algo) {
       return v & (v - 1);  // clear lowest set bit
     case BcastAlgo::kBinaryTree:
       return (v - 1) / 2;
-    case BcastAlgo::kLinear:
-      return 0;
     default:
       MCCL_CHECK_MSG(false, "not a P2P broadcast algorithm");
       return 0;
@@ -249,89 +241,6 @@ void RingAllgather::maybe_done(std::size_t r) {
 }
 
 bool RingAllgather::verify() const {
-  if (!comm_.data_mode()) return true;
-  for (std::size_t r = 0; r < comm_.size(); ++r) {
-    for (std::size_t b = 0; b < comm_.size(); ++b) {
-      if (!check_pattern(comm_.ep(r).nic().memory(),
-                         recvbuf_ + b * bytes_, bytes_, id(), b))
-        return false;
-    }
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// LinearAllgather
-// ---------------------------------------------------------------------------
-
-LinearAllgather::LinearAllgather(Communicator& comm, std::uint64_t bytes)
-    : OpBase(comm, "linear_allgather"), bytes_(bytes) {
-  const std::size_t P = comm.size();
-  MCCL_CHECK(P >= 2 && bytes > 0);
-  st_.resize(P);
-  sendbuf_ = symmetric_buffer(bytes_);
-  recvbuf_ = symmetric_buffer(bytes_ * P);
-  rkey_ = register_symmetric(recvbuf_, bytes_ * P);
-  if (comm_.data_mode())
-    for (std::size_t r = 0; r < P; ++r)
-      fill_pattern(comm_.ep(r).nic().memory(), sendbuf_, bytes_, id(), r);
-  // Op-owned all-to-all mesh; one write-with-imm credit per peer QP.
-  for (std::size_t r = 0; r < P; ++r) st_[r].peer_qps.resize(P, nullptr);
-  for (std::size_t r = 0; r < P; ++r) {
-    for (std::size_t p = r + 1; p < P; ++p) {
-      auto [qa, qb] = comm_.create_qp_pair(r, p);
-      st_[r].peer_qps[p] = qa;
-      st_[p].peer_qps[r] = qb;
-      qa->post_recv({});
-      qb->post_recv({});
-    }
-  }
-}
-
-void LinearAllgather::start() {
-  mark_started();
-  const std::size_t P = comm_.size();
-  for (std::size_t r = 0; r < P; ++r) {
-    Endpoint& ep = comm_.ep(r);
-    post_copy(r, sendbuf_, recvbuf_ + r * bytes_, bytes_, [this, r] {
-      st_[r].local_copy_done = true;
-      maybe_done(r);
-    });
-    for (std::size_t off = 1; off < P; ++off) {
-      const std::size_t peer = (r + off) % P;
-      ep.app_worker().post(ep.costs().control, [this, r, peer] {
-        rdma::SendFlags flags;
-        flags.imm = encode_ctrl({CtrlType::kStep, id(), 0});
-        flags.has_imm = true;
-        flags.signaled = false;
-        st_[r].peer_qps[peer]->post_write(sendbuf_, bytes_,
-                                          recvbuf_ + r * bytes_, rkey_,
-                                          flags);
-      });
-    }
-  }
-}
-
-void LinearAllgather::on_ctrl(std::size_t r, const CtrlMsg& msg,
-                              std::size_t src, const rdma::Cqe& cqe) {
-  (void)src;
-  (void)cqe;
-  MCCL_CHECK(msg.type == CtrlType::kStep);
-  ++st_[r].blocks_received;
-  maybe_done(r);
-}
-
-void LinearAllgather::maybe_done(std::size_t r) {
-  RankState& s = st_[r];
-  if (s.op_done || !s.local_copy_done ||
-      s.blocks_received < comm_.size() - 1)
-    return;
-  s.op_done = true;
-  phases_[r].transfer = comm_.cluster().engine().now() - start_time_;
-  rank_done(r);
-}
-
-bool LinearAllgather::verify() const {
   if (!comm_.data_mode()) return true;
   for (std::size_t r = 0; r < comm_.size(); ++r) {
     for (std::size_t b = 0; b < comm_.size(); ++b) {

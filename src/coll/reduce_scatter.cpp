@@ -311,60 +311,4 @@ bool IncReduceScatter::verify() const {
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// BarrierOp
-// ---------------------------------------------------------------------------
-
-BarrierOp::BarrierOp(Communicator& comm)
-    : OpBase(comm, "barrier"), rounds_(ceil_log2(comm.size())) {
-  st_.resize(comm.size());
-  for (std::size_t r = 0; r < comm_.size(); ++r)
-    st_[r].seen.assign(rounds_ == 0 ? 1 : rounds_, 0);
-}
-
-void BarrierOp::on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t,
-                        const rdma::Cqe&) {
-  MCCL_CHECK(msg.type == CtrlType::kBarrier);
-  ++st_[r].seen[msg.arg];
-  advance(r);
-}
-
-void BarrierOp::start() {
-  mark_started();
-  for (std::size_t r = 0; r < comm_.size(); ++r) {
-    if (rounds_ == 0) {
-      st_[r].done = true;
-      rank_done(r);
-      continue;
-    }
-    send_round(r);
-  }
-}
-
-void BarrierOp::send_round(std::size_t r) {
-  RankState& s = st_[r];
-  const std::size_t P = comm_.size();
-  comm_.ep(r).ctrl_send((r + (std::size_t{1} << s.round)) % P,
-                        {CtrlType::kBarrier, id(),
-                         static_cast<std::uint16_t>(s.round)});
-  advance(r);
-}
-
-void BarrierOp::advance(std::size_t r) {
-  RankState& s = st_[r];
-  while (s.round < rounds_ && s.seen[s.round] > 0) {
-    --s.seen[s.round];
-    ++s.round;
-    if (s.round < rounds_) {
-      send_round(r);
-      return;
-    }
-  }
-  if (s.round >= rounds_ && !s.done) {
-    s.done = true;
-    phases_[r].barrier = comm_.cluster().engine().now() - start_time_;
-    rank_done(r);
-  }
-}
-
 }  // namespace mccl::coll

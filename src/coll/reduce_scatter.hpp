@@ -91,27 +91,4 @@ class IncReduceScatter : public OpBase {
   std::vector<RankState> st_;
 };
 
-/// Standalone dissemination barrier (also usable as a latency probe).
-class BarrierOp : public OpBase {
- public:
-  explicit BarrierOp(Communicator& comm);
-
-  void start() override;
-  bool verify() const override { return true; }
-
- private:
-  struct RankState {
-    std::size_t round = 0;
-    std::vector<std::size_t> seen;
-    bool done = false;
-  };
-  void on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src,
-               const rdma::Cqe& cqe) override;
-  void send_round(std::size_t r);
-  void advance(std::size_t r);
-
-  std::size_t rounds_;
-  std::vector<RankState> st_;
-};
-
 }  // namespace mccl::coll

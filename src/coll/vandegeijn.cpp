@@ -1,14 +1,8 @@
-// Large-message P2P broadcast and allgather variants:
-//
-//  - ScatterAllgatherBcast (van de Geijn): halving-tree scatter of the
-//    buffer followed by a ring allgather of the pieces. The production
-//    large-message broadcast: ~B/2 throughput independent of P, the
-//    strongest P2P baseline against the multicast Broadcast.
-//  - RecDoublingAllgather: log2(P) rounds of pairwise exchange with
-//    doubling ranges (power-of-two rank counts).
+// ScatterAllgatherBcast (van de Geijn): halving-tree scatter of the buffer
+// followed by a ring allgather of the pieces. The production large-message
+// broadcast: ~B/2 throughput independent of P, the strongest P2P baseline
+// against the multicast Broadcast.
 #include "src/coll/vandegeijn.hpp"
-
-#include <algorithm>
 
 #include "src/coll/pattern.hpp"
 
@@ -190,114 +184,6 @@ bool ScatterAllgatherBcast::verify() const {
     if (!check_pattern(comm_.ep(r).nic().memory(), recvbuf_, bytes_,
                        id(), root_))
       return false;
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// RecDoublingAllgather
-// ---------------------------------------------------------------------------
-
-RecDoublingAllgather::RecDoublingAllgather(Communicator& comm,
-                                           std::uint64_t bytes)
-    : OpBase(comm, "recdoubling_allgather"), bytes_(bytes) {
-  const std::size_t P = comm.size();
-  MCCL_CHECK(P >= 2 && bytes > 0);
-  MCCL_CHECK_MSG((P & (P - 1)) == 0,
-                 "recursive doubling needs a power-of-two rank count");
-  rounds_ = 0;
-  while ((std::size_t{1} << rounds_) < P) ++rounds_;
-
-  st_.resize(P);
-  sendbuf_ = symmetric_buffer(bytes_);
-  recvbuf_ = symmetric_buffer(bytes_ * P);
-  const bool fill = comm_.data_mode();
-  for (std::size_t r = 0; r < P; ++r) {
-    RankState& s = st_[r];
-    s.partner_qps.resize(rounds_, nullptr);
-    s.seen.assign(rounds_, 0);
-    if (fill)
-      fill_pattern(comm_.ep(r).nic().memory(), sendbuf_, bytes_, id(), r);
-  }
-  // One QP pair per (rank, round); pre-post the partner's range for each
-  // round — ranges are deterministic from the rank bits.
-  for (std::size_t k = 0; k < rounds_; ++k) {
-    const std::size_t dist = std::size_t{1} << k;
-    for (std::size_t r = 0; r < P; ++r) {
-      const std::size_t partner = r ^ dist;
-      if (partner < r) continue;  // pair created once
-      auto [qa, qb] = comm_.create_qp_pair(r, partner);
-      st_[r].partner_qps[k] = qa;
-      st_[partner].partner_qps[k] = qb;
-    }
-    for (std::size_t r = 0; r < P; ++r) {
-      const std::size_t partner = r ^ dist;
-      const std::size_t base = partner & ~(dist - 1);
-      st_[r].partner_qps[k]->post_recv(
-          {.laddr = recvbuf_ + base * bytes_,
-           .len = static_cast<std::uint32_t>(dist * bytes_)});
-    }
-  }
-}
-
-void RecDoublingAllgather::start() {
-  mark_started();
-  for (std::size_t r = 0; r < comm_.size(); ++r) {
-    post_copy(r, sendbuf_, recvbuf_ + r * bytes_, bytes_, [this, r] {
-      st_[r].local_copy_done = true;
-      send_round(r);  // round 0 needs the own block in place
-    });
-  }
-}
-
-void RecDoublingAllgather::send_round(std::size_t r) {
-  RankState& s = st_[r];
-  const std::size_t k = s.round;
-  MCCL_CHECK(k < rounds_);
-  const std::size_t dist = std::size_t{1} << k;
-  const std::size_t base = r & ~(dist - 1);
-  Endpoint& ep = comm_.ep(r);
-  ep.app_worker().post(ep.costs().control, [this, r, k, base, dist] {
-    rdma::SendFlags flags;
-    flags.imm = encode_ctrl({CtrlType::kStep, id(),
-                             static_cast<std::uint16_t>(k)});
-    flags.has_imm = true;
-    flags.signaled = false;
-    st_[r].partner_qps[k]->post_send(recvbuf_ + base * bytes_,
-                                     dist * bytes_, flags);
-  });
-}
-
-void RecDoublingAllgather::on_ctrl(std::size_t r, const CtrlMsg& msg,
-                                   std::size_t src, const rdma::Cqe& cqe) {
-  (void)src;
-  (void)cqe;
-  MCCL_CHECK(msg.type == CtrlType::kStep);
-  RankState& s = st_[r];
-  // A fast partner may deliver round k+1 before we processed round k (the
-  // data already landed via the pre-posted receive); consume in order.
-  MCCL_CHECK(msg.arg < rounds_);
-  ++s.seen[msg.arg];
-  while (s.round < rounds_ && s.seen[s.round] > 0) {
-    --s.seen[s.round];
-    ++s.round;
-    if (s.round < rounds_) send_round(r);
-  }
-  if (s.round >= rounds_ && !s.op_done) {
-    s.op_done = true;
-    phases_[r].transfer = comm_.cluster().engine().now() - start_time_;
-    rank_done(r);
-  }
-}
-
-bool RecDoublingAllgather::verify() const {
-  if (!comm_.data_mode()) return true;
-  for (std::size_t r = 0; r < comm_.size(); ++r) {
-    for (std::size_t b = 0; b < comm_.size(); ++b) {
-      if (!check_pattern(comm_.ep(r).nic().memory(),
-                         recvbuf_ + b * bytes_, bytes_, id(), b))
-        return false;
-    }
   }
   return true;
 }

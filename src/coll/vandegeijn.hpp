@@ -1,7 +1,6 @@
-// Large-message P2P variants referenced by the paper's related work:
+// Large-message P2P broadcast referenced by the paper's related work:
 // van-de-Geijn broadcast (binomial/halving scatter + ring allgather, the
-// production large-message algorithm, ~B/2 independent of P) and
-// recursive-doubling allgather.
+// production large-message algorithm, ~B/2 independent of P).
 #pragma once
 
 #include <vector>
@@ -53,33 +52,6 @@ class ScatterAllgatherBcast : public OpBase {
   std::uint64_t bytes_;
   std::uint64_t sendbuf_ = 0;  // symmetric: the same address on every rank
   std::uint64_t recvbuf_ = 0;
-  std::vector<RankState> st_;
-};
-
-class RecDoublingAllgather : public OpBase {
- public:
-  RecDoublingAllgather(Communicator& comm, std::uint64_t bytes);
-
-  void start() override;
-  bool verify() const override;
-
- private:
-  struct RankState {
-    std::size_t round = 0;
-    std::vector<std::size_t> seen;  // early arrivals per round
-    bool local_copy_done = false;
-    bool op_done = false;
-    std::vector<rdma::RcQp*> partner_qps;  // one per round
-  };
-
-  void send_round(std::size_t r);
-  void on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src,
-               const rdma::Cqe& cqe) override;
-
-  std::uint64_t bytes_;
-  std::size_t rounds_ = 0;
-  std::uint64_t sendbuf_ = 0;  // symmetric: the same address on every rank
-  std::uint64_t recvbuf_ = 0;  // P blocks
   std::vector<RankState> st_;
 };
 

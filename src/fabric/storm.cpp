@@ -15,6 +15,12 @@ constexpr std::uint32_t kHeaderBytes = 64;
 constexpr std::uint16_t kChunkKind = 1;
 constexpr std::uint16_t kAckKind = 2;
 constexpr std::uint32_t kAckBytes = 96;
+/// engine_storm's conservative lookahead L; every reschedule waits [L, 5L).
+constexpr Time kEngineLookahead = 500 * kNanosecond;
+/// Per-mille of engine_storm reschedules that hop to another shard.
+constexpr std::uint32_t kCrossPermille = 150;
+/// allgather/chaos storms: rank r starts injecting at r * kStagger.
+constexpr Time kStagger = 10 * kNanosecond;
 
 }  // namespace
 
@@ -34,8 +40,6 @@ struct EngineStorm {
 
   sim::ParallelEngine& eng;
   std::vector<ShardAcc> acc;
-  Time lookahead;
-  std::uint32_t cross_permille;
   std::uint64_t budget_per_shard;
 
   void tick(int s, std::uint64_t rng) {
@@ -45,11 +49,11 @@ struct EngineStorm {
         (static_cast<std::uint64_t>(eng.shard(s).now()) << 8) ^ rng);
     if (++a.ticks >= budget_per_shard) return;  // this chain ends
     rng = rng * kLcgMul + kLcgAdd;
-    const Time delay =
-        lookahead + static_cast<Time>((rng >> 33) % (4 * lookahead));
+    const Time delay = kEngineLookahead +
+                       static_cast<Time>((rng >> 33) % (4 * kEngineLookahead));
     int dst = s;
     const int S = eng.num_shards();
-    if (S > 1 && (rng >> 3) % 1000 < cross_permille)
+    if (S > 1 && (rng >> 3) % 1000 < kCrossPermille)
       dst = static_cast<int>((static_cast<std::uint64_t>(s) + 1 +
                               (rng >> 13) % (S - 1)) %
                              S);
@@ -61,11 +65,11 @@ struct EngineStorm {
 
 EngineStormResult run_engine_storm(const EngineStormConfig& cfg) {
   sim::ParallelEngine eng(
-      sim::ParallelConfig{cfg.shards, cfg.threads, cfg.lookahead});
+      sim::ParallelConfig{cfg.shards, cfg.threads, kEngineLookahead});
   EngineStorm storm{eng,
                     std::vector<EngineStorm::ShardAcc>(
                         static_cast<std::size_t>(eng.num_shards())),
-                    cfg.lookahead, cfg.cross_permille, cfg.events_per_shard};
+                    cfg.events_per_shard};
   for (int s = 0; s < eng.num_shards(); ++s) {
     for (std::uint32_t i = 0; i < cfg.timers_per_shard; ++i) {
       const std::uint64_t rng =
@@ -150,7 +154,7 @@ StormResult run_storm(const Topology& topo, const StormConfig& cfg,
   for (std::uint32_t sweep = 0; sweep < sweeps; ++sweep) {
     const Time base = static_cast<Time>(sweep) * cfg.resend_interval;
     for (std::size_t r = 0; r < ranks; ++r) {
-      const Time start = base + static_cast<Time>(r) * cfg.stagger;
+      const Time start = base + static_cast<Time>(r) * kStagger;
       for (std::uint64_t c = 0; c < chunks; ++c) {
         StormPacket pkt;
         pkt.src_host = static_cast<std::uint32_t>(hosts[r]);

@@ -3,7 +3,7 @@
 // Three canonical timelines, shared by tests, benches and CI gates:
 //
 //  * engine_storm — a pure ParallelEngine timer storm (no fabric): LCG
-//    self-rescheduling timers with a configurable fraction of cross-shard
+//    self-rescheduling timers with a fixed fraction (15%) of cross-shard
 //    posts. The cheapest determinism oracle for the epoch/barrier machinery
 //    itself.
 //  * allgather_storm — every rank multicasts its block (chunked) on one
@@ -34,11 +34,8 @@ namespace mccl::fabric {
 struct EngineStormConfig {
   int shards = 4;
   int threads = 1;
-  Time lookahead = 500 * kNanosecond;
   std::uint32_t timers_per_shard = 256;
   std::uint64_t events_per_shard = 250000;
-  /// Per-mille of reschedules that hop to another shard.
-  std::uint32_t cross_permille = 150;
   std::uint64_t seed = 1;
 };
 
@@ -65,8 +62,6 @@ struct StormConfig {
   /// Receivers ack every Nth delivered chunk to its source (0 = no acks).
   std::uint32_t ack_stride = 8;
   Time switch_latency = 150 * kNanosecond;
-  /// Per-rank injection stagger (rank r starts at r * stagger).
-  Time stagger = 10 * kNanosecond;
   /// chaos_storm only: each rank re-multicasts its whole block this many
   /// extra times, `resend_interval` apart — blunt, deterministic repair.
   std::uint32_t resend_sweeps = 0;

@@ -9,6 +9,8 @@ namespace mccl::telemetry {
 
 namespace {
 
+constexpr std::size_t kHistogramReservoir = 256;  // samples kept for quantiles
+
 void append_escaped(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
@@ -87,8 +89,8 @@ MetricsRegistry::Slot& MetricsRegistry::slot(std::string_view name,
   s.labels = sorted_labels(labels);
   s.type = type;
   if (type == MetricType::kHistogram) {
-    s.histogram = std::make_unique<Histogram>(options_.histogram_reservoir,
-                                              0x9e1e7151u + histograms_created_++);
+    s.histogram = std::make_unique<Histogram>(
+        kHistogramReservoir, 0x9e1e7151u + histograms_created_++);
   }
   return metrics_.emplace(std::move(k), std::move(s)).first->second;
 }

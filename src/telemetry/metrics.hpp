@@ -79,13 +79,7 @@ using Snapshot = std::map<std::string, MetricValue>;
 
 class MetricsRegistry {
  public:
-  struct Options {
-    std::size_t histogram_reservoir = 256;
-  };
   using Publisher = std::function<void(MetricsRegistry&)>;
-
-  MetricsRegistry() : MetricsRegistry(Options{}) {}
-  explicit MetricsRegistry(Options options) : options_(options) {}
 
   /// Finds or creates; the returned reference is stable for the registry's
   /// lifetime. Requesting an existing key with a different type aborts.
@@ -128,7 +122,6 @@ class MetricsRegistry {
 
   Slot& slot(std::string_view name, const Labels& labels, MetricType type);
 
-  Options options_;
   std::map<std::string, Slot> metrics_;
   std::vector<std::pair<std::uint64_t, Publisher>> publishers_;
   std::uint64_t next_publisher_ = 1;

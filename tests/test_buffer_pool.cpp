@@ -1,7 +1,8 @@
 // Per-communicator symmetric buffer pool: best-fit reuse, identical offsets
 // on every rank, the release rule (an op returns its blocks only once it is
 // done and nothing it posted can still touch them), the rkey fence against
-// late traffic, and long runs that stay inside one arena.
+// late traffic, staging slots that late chunks hand back, and long runs
+// that stay inside one arena.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -128,6 +129,43 @@ TEST(BufferPool, LateUcMulticastWriteIsFencedFromTheNextOp) {
   EXPECT_GT(w.cluster->nic(2).uc_rkey_drops(), 0u);
   EXPECT_EQ(w.cluster->nic(1).uc_rkey_drops(), 0u);
   EXPECT_TRUE(second.verify());
+}
+
+TEST(StagingRing, LateDuplicateChunksReturnTheirSlots) {
+  // Leaf 2's link delays the UD multicast by 3 ms, so the leaf recovers
+  // the block by fetch and the op releases. The delayed chunks then reach
+  // a released op that already holds them: nothing copies them, and each
+  // staging slot must go straight back to the receive queue. Once the
+  // engine drains, every rank's ring is full again.
+  CommConfig cfg;
+  cfg.transport = Transport::kUd;
+  cfg.cutoff_alpha = 50 * kMicrosecond;
+  constexpr std::uint64_t kBytes = 64 * 1024;
+  Time window_open = 0;
+  {
+    World clean(3, cfg);
+    const OpResult res = clean.comm->broadcast(0, kBytes, BcastAlgo::kMcast);
+    ASSERT_TRUE(res.data_verified);
+    window_open = std::max(res.start + res.max_phases.barrier, Time{1});
+  }
+  constexpr Time kDelay = 3 * kMillisecond;
+  ClusterConfig kcfg;
+  kcfg.fabric.faults.events = {  // star: host 2 <-> switch 3
+      fabric::FaultEvent::degrade(window_open, 2, 3, 1.0, kDelay),
+      fabric::FaultEvent::restore(window_open + 20 * kMicrosecond, 2, 3)};
+  World w(3, cfg, kcfg);
+  auto& op = static_cast<McastCollective&>(
+      w.comm->start_broadcast(0, kBytes, BcastAlgo::kMcast));
+  const OpResult res = w.comm->finish(op);
+  ASSERT_TRUE(res.data_verified);
+  EXPECT_GT(res.fetched_chunks, 0u);
+  EXPECT_LT(res.finish, window_open + kDelay);
+  w.cluster->engine().run();  // the delayed chunks land now
+  ASSERT_TRUE(op.released());
+  for (std::size_t r = 0; r < 3; ++r)
+    for (std::size_t s = 0; s < w.comm->ep(r).num_subgroups(); ++s)
+      EXPECT_EQ(w.comm->ep(r).subgroup(s).posted, cfg.staging_slots)
+          << "rank " << r << " subgroup " << s;
 }
 
 TEST(BufferPool, FetchReadsQueuedBeforeMulticastCompletesKeepTheBlocks) {

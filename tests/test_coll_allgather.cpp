@@ -1,5 +1,5 @@
 // End-to-end Allgather tests: multicast composition (chains, subgroups,
-// worker splits), ring and linear baselines, traffic properties.
+// worker splits), ring baseline, traffic properties.
 #include <gtest/gtest.h>
 
 #include "tests/coll_test_util.hpp"
@@ -135,15 +135,6 @@ TEST(RingAllgather, SendPathScalesWithP) {
     if (topo.dirs()[d].from == 0)
       egress0 += w.cluster->fabric().dir_counters(d).bytes;
   EXPECT_GE(egress0, 5 * 64 * 1024u);  // (P-1) * N on the send path
-}
-
-TEST(LinearAllgather, Correctness) {
-  for (const std::size_t P : {2u, 4u, 6u}) {
-    World w(P);
-    EXPECT_TRUE(w.comm->allgather(8 * 1024, AllgatherAlgo::kLinear)
-                    .data_verified)
-        << "P=" << P;
-  }
 }
 
 TEST(McastAllgather, HalvesFabricTrafficVsRing) {

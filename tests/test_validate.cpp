@@ -282,7 +282,7 @@ TEST(Validate, AdaptOscillationDetected) {
   ASSERT_NE(hm, nullptr);
   debug::ViolationTrap trap;
   // One flip under the bound: silent.
-  hm->test_force_flap(0, 1, hm->config().max_transitions);
+  hm->test_force_flap(0, 1, coll::kMaxHealthTransitions);
   EXPECT_FALSE(trap.tripped("adapt.oscillation"));
   // Past the bound: structured violation.
   hm->test_force_flap(0, 1, 2);

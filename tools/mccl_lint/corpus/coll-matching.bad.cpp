@@ -9,7 +9,7 @@ void leak_wait(coll::Communicator& comm) {
 
 // Started-and-discarded: no handle at all to wait on.
 void discard(coll::Communicator& comm) {
-  comm.start_barrier();
+  comm.start_reduce_scatter(64, coll::ReduceScatterAlgo::kRing);
 }
 
 // PARCOACH divergence: only rank 0 issues the broadcast.

@@ -9,7 +9,7 @@ void ignore_result(coll::Communicator& comm) {
 
 // Discarded outright.
 void drop_result(coll::Communicator& comm) {
-  comm.barrier();
+  comm.reduce_scatter(64, coll::ReduceScatterAlgo::kRing);
 }
 
 // Waited on, but the completion status is never checked.

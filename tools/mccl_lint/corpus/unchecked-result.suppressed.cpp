@@ -1,5 +1,5 @@
 // lint-path: bench/corpus_case.cpp
 void warmup(coll::Communicator& comm) {
   // mccl-lint: allow(unchecked-result) cache-warming run; result unused
-  comm.barrier();
+  comm.reduce_scatter(64, coll::ReduceScatterAlgo::kRing);
 }

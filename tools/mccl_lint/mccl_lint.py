@@ -52,7 +52,7 @@ machine-check the Communicator/OpBase/OpResult API contract across src/,
 examples/, tests/ and bench/:
 
   coll-matching      Every started collective (start_broadcast /
-                     start_allgather / start_reduce_scatter / start_barrier)
+                     start_allgather / start_reduce_scatter)
                      bound to a named OpBase has a reachable wait in its
                      enclosing function: `op.done()` polling, a
                      `Communicator::finish(op)`, or a `set_on_done`
@@ -114,6 +114,12 @@ Usage:
   --group {all,lint,verify}           restrict the scan to one rule group
   --json <path>                       write violations as JSON
   --sarif <path>                      write SARIF 2.1.0 for CI annotations
+  mccl_lint.py --root <repo-root> --count-config-fields
+                                      print the settable values (non-static
+                                      data members; a nested config struct
+                                      counts through its own fields) of
+                                      every *Config/*Options struct in src/,
+                                      per struct and in total
 
 Exit codes: 0 clean, 1 violations / self-test failure, 2 usage error.
 
@@ -185,8 +191,8 @@ CAPTURE_BUDGET = 8  # entities * 8 bytes = the 64-byte inline budget
 # --- verify-group vocabulary -------------------------------------------------
 
 COLLECTIVE_STARTS = ("start_broadcast", "start_allgather",
-                     "start_reduce_scatter", "start_barrier")
-BLOCKING_COLLS = ("broadcast", "allgather", "reduce_scatter", "barrier")
+                     "start_reduce_scatter")
+BLOCKING_COLLS = ("broadcast", "allgather", "reduce_scatter")
 # Methods on OpResult that constitute a status check.
 RESULT_STATUS_MEMBERS = ("status", "failed", "data_verified", "error",
                          "missing_blocks", "watchdog_fired", "crashed_ranks")
@@ -815,6 +821,136 @@ def run_scan(root, group, json_path=None, sarif_path=None):
     return 0
 
 
+# --- config-field count ------------------------------------------------------
+
+_ACCESS_RE = re.compile(r"^(?:(?:public|protected|private)\s*:(?!:)\s*)+")
+_NON_FIELD_RE = re.compile(
+    r"^(?:static|constexpr|using|typedef|friend|template|enum|struct|class|"
+    r"union)\b")
+_DECLARATOR_RE = re.compile(r"^(.*?)\b([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?\s*$")
+
+
+def _is_config_struct(name):
+    return name.endswith(("Config", "Options"))
+
+
+def _strip_template_args(text):
+    """Drops every (nested) <...> argument list."""
+    out, depth = [], 0
+    for c in text:
+        if c == "<":
+            depth += 1
+        elif c == ">" and depth:
+            depth -= 1
+        elif depth == 0:
+            out.append(c)
+    return "".join(out)
+
+
+def _declarators(stmt):
+    """Splits a member declaration at its top-level commas. Angle brackets
+    nest only before a declarator's initializer (`a = x < y` is no template)."""
+    parts, cur, depth, angle, in_init = [], [], 0, 0, False
+    for c in stmt:
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        elif c == "<" and not in_init:
+            angle += 1
+        elif c == ">" and not in_init and angle:
+            angle -= 1
+        elif c == "=" and depth == 0 and angle == 0:
+            in_init = True
+        elif c == "," and depth == 0 and angle == 0:
+            parts.append("".join(cur))
+            cur, in_init = [], False
+            continue
+        cur.append(c)
+    parts.append("".join(cur))
+    return parts
+
+
+def _member_statements(model, scope):
+    """The statements directly inside a class scope. A nested brace
+    initializer stays in its statement; any other nested scope (a member
+    function body, a nested type) ends one."""
+    code = model.code
+    children = sorted((c for c in model.scopes if c.parent is scope),
+                      key=lambda c: c.start)
+    parts, pos = [], scope.start + 1
+    for child in children:
+        parts.append(code[pos:child.start])
+        parts.append("{}" if child.kind in (cppmodel.INIT, cppmodel.LAMBDA)
+                     else ";")
+        pos = child.end + 1
+    parts.append(code[pos:scope.end])
+    return "".join(parts).split(";")
+
+
+def settable_fields(model, scope):
+    """Settable values of one config struct: its non-static data members.
+    A member whose type is itself a config struct counts through that
+    struct's own fields, not as one more value."""
+    count = 0
+    for stmt in _member_statements(model, scope):
+        stmt = _ACCESS_RE.sub("", " ".join(stmt.split()))
+        if not stmt or _NON_FIELD_RE.match(stmt):
+            continue
+        declarators = _declarators(stmt)
+        decl = _strip_template_args(
+            re.split(r"[={]", declarators[0], maxsplit=1)[0])
+        if "(" in decl or re.search(r"\boperator\b", decl):
+            continue  # a member function
+        m = _DECLARATOR_RE.match(decl)
+        if m is None or not m.group(1).strip():
+            continue
+        type_ids = re.findall(r"[A-Za-z_]\w*", m.group(1))
+        if type_ids and _is_config_struct(type_ids[-1]):
+            continue
+        count += len(declarators)
+    return count
+
+
+def count_config_fields(root):
+    """(relpath, line, qualified struct name, settable values) for every
+    *Config / *Options struct under src/, in path and line order."""
+    rows = []
+    for base in ALL_SRC:
+        top = os.path.join(root, base)
+        for dirpath, dirnames, filenames in os.walk(top):
+            dirnames.sort()
+            for name in sorted(filenames):
+                if not name.endswith((".cpp", ".hpp", ".h", ".cc")):
+                    continue
+                path = os.path.join(dirpath, name)
+                with open(path, "r", encoding="utf-8",
+                          errors="replace") as fh:
+                    model = cppmodel.Model(fh.read())
+                for scope in model.scopes:
+                    if (scope.kind != cppmodel.CLASS
+                            or not _is_config_struct(scope.name)):
+                        continue
+                    names, outer = [scope.name], scope.parent
+                    while outer is not None:
+                        if outer.kind == cppmodel.CLASS:
+                            names.insert(0, outer.name)
+                        outer = outer.parent
+                    rows.append((os.path.relpath(path, root).replace(
+                        os.sep, "/"), scope.start_line, "::".join(names),
+                        settable_fields(model, scope)))
+    return rows
+
+
+def run_count_config_fields(root):
+    rows = count_config_fields(root)
+    for relpath, line, name, count in rows:
+        print("%s:%d: %s %d" % (relpath, line, name, count))
+    print("mccl-lint: %d settable config values in %d structs" %
+          (sum(r[3] for r in rows), len(rows)))
+    return 0
+
+
 # --- self-test --------------------------------------------------------------
 
 SELF_TESTS = [
@@ -865,7 +1001,7 @@ SELF_TESTS = [
      "}\n"),
     ("coll-matching", "bench/bad_discard.cpp",
      "void f(coll::Communicator& comm) {\n"
-     "  comm.start_barrier();\n"
+     "  comm.start_reduce_scatter(64, coll::ReduceScatterAlgo::kRing);\n"
      "}\n"),
     ("coll-matching", "examples/bad_diverge.cpp",
      "void f(coll::Communicator& comm, std::size_t rank) {\n"
@@ -898,7 +1034,7 @@ SELF_TESTS = [
      "}\n"),
     ("unchecked-result", "bench/bad_drop.cpp",
      "void f(coll::Communicator& comm) {\n"
-     "  comm.barrier();\n"
+     "  comm.reduce_scatter(64, coll::ReduceScatterAlgo::kRing);\n"
      "}\n"),
     ("unchecked-result", "examples/bad_waited_unchecked.cpp",
      "void f(coll::Communicator& comm, coll::Cluster& cluster) {\n"
@@ -1043,9 +1179,16 @@ def main(argv):
                         help="write violations as JSON")
     parser.add_argument("--sarif", metavar="PATH",
                         help="write violations as SARIF 2.1.0")
+    parser.add_argument("--count-config-fields", action="store_true",
+                        help="with --root: print the settable values of "
+                             "every *Config/*Options struct in src/")
     args = parser.parse_args(argv)
     if args.self_test:
         return run_self_test()
+    if args.count_config_fields:
+        if not args.root:
+            parser.error("--count-config-fields needs --root")
+        return run_count_config_fields(args.root)
     if args.root:
         return run_scan(args.root, args.group, args.json, args.sarif)
     parser.error("one of --root or --self-test is required")

@@ -160,7 +160,7 @@ class ExitCodeContractTest(unittest.TestCase):
 
 class OutputFormatTest(unittest.TestCase):
     BAD = ("void f(coll::Communicator& comm) {\n"
-           "  comm.start_barrier();\n"
+           "  comm.start_reduce_scatter(64, coll::ReduceScatterAlgo::kRing);\n"
            "}\n")
 
     def scan(self, tmp):
@@ -218,6 +218,62 @@ class OutputFormatTest(unittest.TestCase):
                 self.assertGreaterEqual(loc["region"]["startLine"], 1)
 
 
+class ConfigFieldCountTest(unittest.TestCase):
+    """--count-config-fields on a small tree: every non-static data member
+    of a *Config / *Options struct under src/ is one settable value."""
+
+    SRC = ("namespace mccl {\n"
+           "struct NicConfig {\n"
+           "  std::size_t ports = 2, lanes = 4;  // two values\n"
+           "  std::map<int, std::pair<int, int>> table;\n"
+           "  Time timeout{5 * kMicrosecond};\n"
+           "  static constexpr int kMax = 8;      // not settable\n"
+           "  bool any() const { return ports > 0; }\n"
+           "  void reset();\n"
+           "  NicConfig& operator=(const NicConfig&) = default;\n"
+           "  enum class Mode { kA, kB };\n"
+           "  Mode mode = Mode::kA;\n"
+           "};\n"
+           "class Engine {\n"
+           " public:\n"
+           "  struct Options {\n"
+           "    std::function<void(int)> hook;\n"
+           "  };\n"
+           "  int not_config_ = 0;\n"
+           "};\n"
+           "struct ClusterConfig {\n"
+           "  NicConfig nic;                 // counts through NicConfig\n"
+           "  Engine::Options engine = {};\n"
+           "  std::uint64_t seed = 1;\n"
+           "};\n"
+           "}  // namespace mccl\n")
+
+    def test_counts_per_struct_and_in_total(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            os.makedirs(os.path.join(tmp, "src", "x"))
+            with open(os.path.join(tmp, "src", "x", "cfg.hpp"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(self.SRC)
+            # A config struct outside src/ is not counted.
+            os.makedirs(os.path.join(tmp, "tests"))
+            with open(os.path.join(tmp, "tests", "t.cpp"), "w",
+                      encoding="utf-8") as fh:
+                fh.write("struct TestConfig { int a = 0; };\n")
+            rows = mccl_lint.count_config_fields(tmp)
+            self.assertEqual(
+                [("src/x/cfg.hpp", 2, "NicConfig", 5),
+                 ("src/x/cfg.hpp", 15, "Engine::Options", 1),
+                 ("src/x/cfg.hpp", 20, "ClusterConfig", 1)], rows)
+            proc = subprocess.run(
+                [sys.executable, LINT, "--root", tmp,
+                 "--count-config-fields"],
+                capture_output=True, text=True)
+            self.assertEqual(0, proc.returncode, proc.stderr)
+            self.assertIn("src/x/cfg.hpp:2: NicConfig 5", proc.stdout)
+            self.assertTrue(proc.stdout.rstrip().endswith(
+                "7 settable config values in 3 structs"), proc.stdout)
+
+
 class ModelTest(unittest.TestCase):
     """Spot checks on the cppmodel layer the rules are built on."""
 
@@ -238,10 +294,10 @@ class ModelTest(unittest.TestCase):
 
     def test_comments_and_strings_are_invisible(self):
         import cppmodel
-        src = ('// comm.start_barrier() in a comment\n'
-               'const char* s = "comm.start_barrier()";\n')
+        src = ('// comm.start_reduce_scatter() in a comment\n'
+               'const char* s = "comm.start_reduce_scatter()";\n')
         model = cppmodel.Model(src)
-        self.assertEqual([], model.find_calls(("start_barrier",)))
+        self.assertEqual([], model.find_calls(("start_reduce_scatter",)))
 
     def test_annotation_parsing(self):
         import cppmodel
